@@ -4,15 +4,20 @@ Class-algebra structure matrices are diagonalized simultaneously over a
 prime field F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|); eigenvalue
 multiplicities of rho(g) are then recovered by a discrete Fourier lift and
 assembled into exact cyclotomic character values.  Both orthogonality
-relations are verified exactly before a table is returned.
+relations are verified exactly before a table is returned, as int64 matrix
+products at every embedding of Z[zeta_e] into F_p (see ``modular``); the
+same engine validates imported tables and computes the Frobenius-Schur
+indicators, square-root counts and fixed-space dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
+from . import modular
 from .cyclo import Cyclotomic, euler_phi, power_basis
 from .groupcore import ConjugacyData, GroupTable, SubgroupSpec, conjugacy_data, is_subgroup
 
@@ -281,26 +286,42 @@ def _lift_character(G, cd, chi_mod, degree, p, z, e):
     return values
 
 
+def _row_gram(T: CharacterTable, inverse_class=None):
+    """sum_c |C_c| chi_i(c) chi_j(c^-1) for all i, j, exactly (None if not rational).
+
+    Without ``inverse_class`` (an imported table), chi_j(c^-1) is taken as the
+    complex conjugate of chi_j(c), the embedding -a.
+    """
+    img = modular.images(T)
+    m = img.class_l1
+    if inverse_class is None:
+        bound = img.r**2 * sum(s * mc * mc for s, mc in zip(T.sizes, m))
+    else:
+        bound = img.r * sum(s * m[c] * m[inverse_class[c]] for c, s in enumerate(T.sizes))
+
+    def sums_mod(p, V):
+        second = V[img.conj] if inverse_class is None else V[:, :, inverse_class]
+        return np.matmul(V * modular.residues(T.sizes, p) % p, second.transpose(0, 2, 1)) % p
+
+    return img.exact(bound, sums_mod)
+
+
+def _column_gram(T: CharacterTable, inverse_class):
+    """sum_i chi_i(c) chi_i(c2^-1) for all c, c2, exactly (None if not rational)."""
+    img = modular.images(T)
+    bound = img.r * sum(m * m for m in img.irrep_l1)
+    return img.exact(bound, lambda p, V: np.matmul(
+        V.transpose(0, 2, 1), V[:, :, inverse_class]) % p)
+
+
 def _verify_orthogonality(T: CharacterTable, inverse_class):
     n = T.order
-    k = T.num_classes
-    for i in range(k):
-        for j in range(i, k):
-            total = Cyclotomic.zero(T.exponent)
-            for c in range(k):
-                conj_val = T.value(j, inverse_class[c])
-                total = total + T.value(i, c) * conj_val * T.sizes[c]
-            expected = n if i == j else 0
-            if total != expected:
-                raise VerificationError("verification failed: row orthogonality")
-    for c in range(k):
-        for c2 in range(c, k):
-            total = Cyclotomic.zero(T.exponent)
-            for i in range(k):
-                total = total + T.value(i, c) * T.value(i, inverse_class[c2])
-            expected = n // T.sizes[c] if c == c2 else 0
-            if total != expected:
-                raise VerificationError("verification failed: column orthogonality")
+    row = _row_gram(T, inverse_class)
+    if row is None or (row != np.diag([n] * T.num_classes)).any():
+        raise VerificationError("verification failed: row orthogonality")
+    col = _column_gram(T, inverse_class)
+    if col is None or (col != np.diag([n // s for s in T.sizes])).any():
+        raise VerificationError("verification failed: column orthogonality")
 
 
 def character_table(G: GroupTable) -> CharacterTable:
@@ -360,26 +381,22 @@ def fs_indicators(T: CharacterTable) -> IndicatorData:
     """sigma per irrep and square-root counts r per class (cached on T)."""
     if T.fs is not None:
         return T.fs
-    k = T.num_classes
-    sigma = []
-    for ch in T.irreps:
-        total = Cyclotomic.zero(T.exponent)
-        for c in range(k):
-            total = total + ch.values[T.powermap2[c]] * T.sizes[c]
-        val = total.to_rational() / T.order
-        if val.denominator != 1 or val not in (-1, 0, 1):
-            raise VerificationError("non-integral Frobenius-Schur indicator")
-        sigma.append(int(val))
-    r = []
-    for c in range(k):
-        total = Cyclotomic.zero(T.exponent)
-        for i, ch in enumerate(T.irreps):
-            if sigma[i]:
-                total = total + ch.values[c] * sigma[i]
-        val = total.to_rational()
-        if val.denominator != 1 or val < 0:
-            raise VerificationError("negative or fractional square-root count")
-        r.append(int(val))
+    img = modular.images(T)
+    n = T.order
+    pm2 = list(T.powermap2)
+    m = img.class_l1
+    # n sigma_i = sum_c |C_c| chi_i(c^2)
+    sums = img.exact(sum(s * m[c] for s, c in zip(T.sizes, pm2)),
+                     lambda p, V: V[:, :, pm2] @ modular.residues(T.sizes, p) % p)
+    if sums is None or any(x % n or x // n not in (-1, 0, 1) for x in sums):
+        raise VerificationError("non-integral Frobenius-Schur indicator")
+    sigma = [int(x) // n for x in sums]
+    # r(c) = sum_i sigma_i chi_i(c), with |sigma_i| <= 1
+    r = img.exact(sum(img.irrep_l1),
+                  lambda p, V: modular.residues(sigma, p) @ V % p)
+    if r is None or any(x < 0 for x in r):
+        raise VerificationError("negative or fractional square-root count")
+    r = [int(x) for x in r]
     if sum(s * rc for s, rc in zip(T.sizes, r)) != T.order:
         raise VerificationError("square-root counts do not sum to |G|")
     T.fs = IndicatorData(sigma=tuple(sigma), r=tuple(r), r_max=max(r))
@@ -392,14 +409,15 @@ def dim_fixed_space(T: CharacterTable, irrep: int, K: SubgroupSpec) -> int:
         raise TableError("fixed-space dimensions need the underlying group")
     if not is_subgroup(T.group, K):
         raise TableError("not a subgroup")
-    ch = T.irreps[irrep]
-    total = Cyclotomic.zero(T.exponent)
+    counts = [0] * T.num_classes  # elements of K per class
     for x in K.elements:
-        total = total + ch.values[T.classes.class_of[x]]
-    val = total.to_rational() / K.order
-    if val.denominator != 1 or val < 0:
+        counts[T.classes.class_of[x]] += 1
+    img = modular.images(T)
+    total = img.exact(sum(m * l1 for m, l1 in zip(counts, img.l1[irrep])),
+                      lambda p, V: V[:, irrep] @ modular.residues(counts, p) % p)
+    if total is None or total % K.order or total < 0:
         raise VerificationError("fixed-space dimension not a non-negative integer")
-    return int(val)
+    return int(total) // K.order
 
 
 # -- exchange format -----------------------------------------------------------
@@ -418,7 +436,10 @@ def dump_table(T: CharacterTable) -> str:
 
 
 def load_table(text: str) -> CharacterTable:
-    """Parse and validate a character table in the exchange format."""
+    """Parse and validate a character table in the exchange format.
+
+    Any malformed or inconsistent input raises ``TableError``.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     fields = {}
     rows = []
@@ -436,6 +457,8 @@ def load_table(text: str) -> CharacterTable:
         powermap2 = tuple(int(v) for v in fields["powermap2"].split())
     except (KeyError, ValueError) as exc:
         raise TableError(f"format error: {exc}") from exc
+    if exponent < 1 or k < 1 or any(s < 1 for s in sizes):
+        raise TableError("format error: exponent, class count and sizes must be positive")
     if len(sizes) != k or len(powermap2) != k or len(rows) != k:
         raise TableError("format error: inconsistent class count")
     if sum(sizes) != order:
@@ -444,11 +467,19 @@ def load_table(text: str) -> CharacterTable:
         raise TableError("format error: powermap out of range")
     irreps = []
     for row in rows:
-        vals = tuple(Cyclotomic.parse(v) for v in row.split("|"))
+        try:
+            vals = tuple(Cyclotomic.parse(v) for v in row.split("|"))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise TableError(f"format error: {exc}") from exc
         if len(vals) != k:
             raise TableError("format error: wrong number of character values")
-        deg = vals[0].to_rational()
-        if deg.denominator != 1 or deg <= 0:
+        if any(exponent % v.e for v in vals):
+            raise TableError("format error: a value's conductor does not divide the exponent")
+        # the power basis is an integral basis of Z[zeta_e]
+        if not all(v.is_integral() for v in vals):
+            raise TableError("format error: character value not an algebraic integer")
+        deg = vals[0].coeffs[0]
+        if not vals[0].is_rational() or deg <= 0:
             raise TableError("format error: bad character degree")
         irreps.append(Character(degree=int(deg), values=vals))
     T = CharacterTable(
@@ -460,23 +491,13 @@ def load_table(text: str) -> CharacterTable:
 
 
 def _validate_imported(T: CharacterTable):
-    n, k = T.order, T.num_classes
-    for i in range(k):
-        vi = T.irreps[i].values
-        for j in range(i, k):
-            vj = T.irreps[j].values
-            total = Cyclotomic.zero(1)
-            for c in range(k):
-                total = total + vi[c] * vj[c].conjugate() * T.sizes[c]
-            if total != (n if i == j else 0):
-                raise TableError("orthogonality failed on import")
-    fs_indicators(T)  # raises on non-integral sigma
-
-
-def table_io(direction: str, stream) -> CharacterTable | str:
-    """import: parse a table from a text stream; export: serialize one."""
-    if direction == "import":
-        return load_table(stream.read())
-    if direction == "export":
-        return dump_table(stream)
-    raise ValueError(f"unknown direction {direction!r}")
+    try:
+        row = _row_gram(T)
+    except ValueError as exc:  # beyond the int64 limits of the modular engine
+        raise TableError(f"format error: {exc}") from exc
+    if row is None or (row != np.diag([T.order] * T.num_classes)).any():
+        raise TableError("orthogonality failed on import")
+    try:
+        fs_indicators(T)
+    except VerificationError as exc:
+        raise TableError(f"indicator check failed on import: {exc}") from exc

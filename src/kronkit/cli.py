@@ -235,6 +235,9 @@ def cmd_chartab(args) -> Report:
 
 
 def cmd_kron(args) -> Report:
+    ds = args.d or [2]
+    if any(d not in (2, 3) for d in ds):
+        raise ValueError("kron tensors take --d 2 or 3")
     label, T = _get_table(args)
     rep = Report(input=label)
     if args.irreps:
@@ -244,12 +247,13 @@ def cmd_kron(args) -> Report:
             Record(name="kappa" + str(res.irreps), values={"kappa": res.value})
         )
     else:
-        for d in args.d or [2]:
+        for d in ds:
+            # sum of squares = |conj_d(G)|, which Burnside's lemma also counts
+            cr = kron.conj_count(T, d)
+            rep.records.append(Record(name=f"kappa_tensor_{d}", values={
+                "sum_sq": cr.values["kappa_sq"], "burnside": cr.values["burnside"]}))
             t = kron.kappa_tensor3(T) if d == 2 else kron.kappa_tensor4(T)
-            r = Record(name=f"kappa_tensor_{d}")
-            r.values["sum_sq"] = int((t.astype(object) ** 2).sum())
-            r.values["max"] = int(t.max())
-            rep.records.append(r)
+            rep.records.append(Record(name=f"kappa_tensor_{d}_max", values={"max": int(t.max())}))
     return rep
 
 

@@ -277,25 +277,7 @@ class Cyclotomic:
         return sum(float(c) * z**i for i, c in enumerate(self.coeffs))
 
 
-# -- operation-style wrappers (thin aliases over the class API) -------------
+# -- operation-style wrapper ------------------------------------------------
 
 def cyc_root(e: int, k: int) -> Cyclotomic:
     return Cyclotomic.root(e, k)
-
-
-def cyc_arith(a: Cyclotomic, b: Cyclotomic, op: str) -> Cyclotomic:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def cyc_conjugate(a: Cyclotomic) -> Cyclotomic:
-    return a.conjugate()
-
-
-def cyc_to_rational(a: Cyclotomic) -> Fraction:
-    return a.to_rational()

@@ -1,22 +1,22 @@
 """Kronecker coefficients and the counting identities built on them.
 
 kappa(V_1,...,V_{d+1}) is always computed classwise from exact character
-values.  The d=2 coefficient tensor is the workhorse: it is contracted with
-int64 numpy einsum when a conservative magnitude bound allows, and with
-exact big-integer arithmetic otherwise; results are identical.
+values, as an int64 class sum modulo primes at every embedding of
+Z[zeta_e] into F_p, recovered exactly (see ``modular``).  The d=2
+coefficient tensor is the workhorse: one (k^2 x k) by (k x k) matrix
+product per embedding; the d=3 tensor is contracted from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional
 
 import numpy as np
 
+from . import modular
 from .chartab import CharacterTable, SubgroupSpec, VerificationError, dim_fixed_space, fs_indicators
-from .cyclo import Cyclotomic, euler_phi, power_basis
-
-_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -61,98 +61,55 @@ class CombinatorialProfile:
 
 # -- exact kappa machinery ----------------------------------------------------
 
-def _int_value_matrix(T: CharacterTable) -> np.ndarray:
-    """Character values as int64 coefficient vectors, shape (k, k, phi)."""
-    m = T._cache.get("intvals")
-    if m is None:
-        phi = euler_phi(T.exponent)
-        k = T.num_classes
-        m = np.zeros((k, k, phi), dtype=np.int64)
-        for i, ch in enumerate(T.irreps):
-            for c, v in enumerate(ch.values):
-                vv = v.promote(T.exponent)
-                for j, coeff in enumerate(vv.coeffs):
-                    if coeff.denominator != 1:
-                        raise VerificationError("character value not integral")
-                    m[i, c, j] = int(coeff)
-        T._cache["intvals"] = m
-    return m
-
-
-def _reduction_tensor(e: int) -> np.ndarray:
-    """R[i, j, m]: coefficient of zeta^m in zeta^i * zeta^j (reduced)."""
-    phi = euler_phi(e)
-    basis = power_basis(e)
-    R = np.zeros((phi, phi, phi), dtype=np.int64)
-    for i in range(phi):
-        for j in range(phi):
-            R[i, j, :] = basis[i + j]
-    return R
-
-
 def kronecker(T: CharacterTable, irreps) -> KroneckerResult:
     """Multiplicity of the trivial representation in the tensor product
     of the given irreps (exact classwise sum)."""
     irreps = tuple(int(i) for i in irreps)
     if len(irreps) < 2:
         raise ValueError("need at least two irreps (d >= 1)")
-    total = Cyclotomic.zero(T.exponent)
-    for c in range(T.num_classes):
-        prod = Cyclotomic.rational(T.sizes[c], T.exponent)
+    if any(not 0 <= i < T.num_classes for i in irreps):
+        raise ValueError(f"irrep indices must lie in 0..{T.num_classes - 1}")
+    img = modular.images(T)
+    bound = img.r ** (len(irreps) - 1) * sum(
+        s * prod(img.l1[i][c] for i in irreps) for c, s in enumerate(T.sizes))
+
+    def sums_mod(p, V):
+        terms = np.broadcast_to(modular.residues(T.sizes, p), (len(V), T.num_classes))
         for i in irreps:
-            prod = prod * T.value(i, c)
-        total = total + prod
-    val = total.to_rational() / T.order
-    if val.denominator != 1 or val < 0:
+            terms = terms * V[:, i] % p
+        return terms.sum(axis=1) % p
+
+    total = img.exact(bound, sums_mod)
+    if total is None or total % T.order or total < 0:
         raise VerificationError("Kronecker coefficient not a non-negative integer")
-    return KroneckerResult(irreps=irreps, value=int(val))
-
-
-def _kappa3_pure(T: CharacterTable) -> np.ndarray:
-    """Exact big-integer fallback for the d=2 coefficient tensor."""
-    k = T.num_classes
-    out = np.zeros((k, k, k), dtype=object)
-    for u in range(k):
-        for v in range(u, k):
-            pair = [T.value(u, c) * T.value(v, c) for c in range(k)]
-            for w in range(v, k):
-                total = Cyclotomic.zero(T.exponent)
-                for c in range(k):
-                    total = total + pair[c] * T.value(w, c) * T.sizes[c]
-                r = total.to_rational() / T.order
-                if r.denominator != 1 or r < 0:
-                    raise VerificationError("kappa tensor entry invalid")
-                val = int(r)
-                for t in {(u, v, w), (u, w, v), (v, u, w), (v, w, u),
-                          (w, u, v), (w, v, u)}:
-                    out[t] = val
-    return out.astype(np.int64)
+    return KroneckerResult(irreps=irreps, value=int(total) // T.order)
 
 
 def kappa_tensor3(T: CharacterTable) -> np.ndarray:
-    """kappa(V_u, V_v, V_w) for all triples, shape (k, k, k)."""
+    """kappa(V_u, V_v, V_w) for all triples, shape (k, k, k).
+
+    Per embedding, the (k^2 x k) matrix of products chi_u chi_v times the
+    (k x k) matrix |C_c| chi_w(c), modulo each prime.
+    """
     t3 = T._cache.get("kappa3")
     if t3 is not None:
         return t3
-    X = _int_value_matrix(T)
-    R = _reduction_tensor(T.exponent)
+    img = modular.images(T)
     k = T.num_classes
-    sizes = np.array(T.sizes, dtype=np.int64)
-    bx = max(1, int(np.abs(X).max()))
-    br = max(1, int(np.abs(R).max()))
-    phi = X.shape[2]
-    bound = (phi * phi * br * bx * bx) * bx * phi * phi * br * int(sizes.max()) * k
-    if bound < _INT64_SAFE:
-        A = np.einsum("uci,vcj,ijm->uvcm", X, X, R)
-        S = np.einsum("uvcj,wcl,jlm,c->uvwm", A, X, R, sizes)
-        if phi > 1 and np.any(S[..., 1:]):
-            raise VerificationError("kappa sum not rational")
-        S0 = S[..., 0]
-        if np.any(S0 % T.order) or np.any(S0 < 0):
-            raise VerificationError("kappa tensor entry invalid")
-        t3 = S0 // T.order
-    else:
-        t3 = _kappa3_pure(T)
+    bound = img.r**2 * sum(s * m**3 for s, m in zip(T.sizes, img.class_l1))
+
+    def sums_mod(p, V):
+        sizes = modular.residues(T.sizes, p)
+        for Va in V:
+            pairs = (Va[:, None, :] * Va[None, :, :] % p).reshape(k * k, k)
+            yield (pairs @ (Va * sizes % p).T % p).reshape(k, k, k)
+
+    S = img.exact(bound, sums_mod)
+    if S is None:
+        raise VerificationError("kappa sum not rational")
+    if (S % T.order).any() or (S < 0).any():
+        raise VerificationError("kappa tensor entry invalid")
+    t3 = (S // T.order).astype(np.int64)
     T._cache["kappa3"] = t3
     return t3
 
@@ -211,8 +168,6 @@ def rconj_count(T: CharacterTable, d: int) -> CountReport:
     elif d == 3:
         t4 = kappa_tensor4(T)
         rep.add("sigma_weighted", int(np.einsum("a,b,c,d,abcd->", s, s, s, s, t4)))
-    if len(rep.values) > 1 and not rep.agree:
-        raise VerificationError("rconj formulas disagree")  # they are theorems
     return rep
 
 
@@ -384,16 +339,3 @@ def classify(T: CharacterTable, ds=(2, 3)) -> ClassificationResult:
         mftp_d=mftp, d_real_d=d_real, real=real, doubly_real=doubly_real,
         witness=witness,
     )
-
-
-# -- spec-named aliases ---------------------------------------------------------
-
-def conj_count_report(T, d):  # pragma: no cover - thin alias
-    return conj_count(T, d)
-
-
-def nmftp_witness(T: CharacterTable, d: int = 2) -> Optional[KroneckerResult]:
-    """The least kappa >= 2 witness, or None when tensor products are
-    multiplicity-free."""
-    _, wit = is_mftp(T, d)
-    return wit

@@ -1,6 +1,9 @@
+import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronkit.chartab import (
     TableError,
@@ -129,7 +132,7 @@ def test_load_rejects_corruption():
     # flip one character value: orthogonality must fail
     bad = text.replace("6:[0=2/1]", "6:[0=3/1]")
     assert bad != text
-    with pytest.raises((TableError, AssertionError)):
+    with pytest.raises(TableError):
         load_table(bad)
     with pytest.raises((TableError, ValueError)):
         load_table("order x\n")
@@ -140,3 +143,43 @@ def test_imported_table_supports_indicator_counts():
     assert U.group is None
     fs = fs_indicators(U)
     assert sorted(fs.sigma) == [-1, 1, 1, 1, 1]
+
+
+S3_TEXT = resources.files("kronkit").joinpath("data/golden/S3.tbl").read_text()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("powermap2 0 0 2", "powermap2 0 0 0", "Frobenius-Schur"),
+    ("6:[0=2/1]", "6:[0=2/1,1=1/2]", "algebraic integer"),
+    ("6:[0=-1/1] | 6:[0=1/1]", "5:[0=-1/1] | 6:[0=1/1]", "conductor"),
+    ("sizes 1 3 2", "sizes 4 0 2", "positive"),
+    ("6:[]", "6:[0=1/0]", "format error"),
+    ("chi: 6:[0=2/1]", "chi: 6:[1=1/1]", "degree"),
+])
+def test_load_table_input_contract(old, new, message):
+    assert old in S3_TEXT
+    load_table(S3_TEXT)
+    with pytest.raises(TableError, match=message):
+        load_table(S3_TEXT.replace(old, new, 1))
+
+
+_TOKEN = re.compile(r"(\s+|[|:\[\],=/])")
+_REPLACEMENTS = st.one_of(
+    st.integers(-13, 13).map(str),
+    st.sampled_from(["", " ", "x", "|", ":", "[", "]", ",", "=", "/", "\n", "chi:",
+                     "0/0", "1/2", "4:[1=1/1]", "5:[0=1/1]", "12:[2=-1/1]", "order 6"]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([S3_TEXT, dump_table(table("cyclic", 4))]),
+       st.lists(st.tuples(st.integers(0, 10**6), _REPLACEMENTS), min_size=1, max_size=4))
+def test_load_table_fuzz_raises_only_table_error(base, edits):
+    tokens = _TOKEN.split(base)
+    for pos, new in edits:
+        tokens[pos % len(tokens)] = new
+    try:
+        load_table("".join(tokens))
+    except TableError:
+        pass
+

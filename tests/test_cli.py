@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from kronkit.chartab import load_table
+from kronkit import kron
+from kronkit.chartab import IndicatorData, load_table
 from kronkit.cli import main, render_report
 from kronkit.groupcore import load_group
 
@@ -123,3 +124,55 @@ def test_text_format_renders(capsys):
     assert code == 0
     assert out.startswith("input: symmetric(3)")
     assert "ok " in out
+
+
+S3 = ("--family", "symmetric", "--params", "3")
+
+
+@pytest.mark.parametrize("args,code,output", [
+    ((), 0, {"kappa_tensor_2": {"sum_sq": "11", "burnside": "11"},
+             "kappa_tensor_2_max": {"max": "1"}}),
+    (("--d", "3"), 0, {"kappa_tensor_3": {"sum_sq": "49", "burnside": "49"},
+                       "kappa_tensor_3_max": {"max": "3"}}),
+    (("--d", "5"), 1, "error: kron tensors take --d 2 or 3"),
+    (("--d", "-1"), 1, "error: kron tensors take --d 2 or 3"),
+    (("--irreps", "2", "2", "9"), 1, "error: irrep indices must lie in 0..2"),
+    (("--irreps", "2", "-1"), 1, "error: irrep indices must lie in 0..2"),
+])
+def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
+    assert main(["kron", *S3, *args]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        doc = json.loads(out)
+        assert {r["name"]: r["values"] for r in doc["records"]} == output
+        assert all(r["agree"] for r in doc["records"])
+    else:
+        assert out == "" and err == output + "\n"
+
+
+def test_tampered_imported_table_is_a_one_line_error(capsys, tmp_path):
+    tf = tmp_path / "t.tbl"
+    assert main(["chartab", *S3, "--out", str(tf)]) == 0
+    tf.write_text(tf.read_text().replace("powermap2 0 0 2", "powermap2 0 0 0"))
+    capsys.readouterr()
+    assert main(["verify", "--table-file", str(tf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rconj_disagreement_is_a_fail_record(capsys, monkeypatch):
+    real = kron.fs_indicators
+
+    def wrong_sigma(T):  # flip the sign character's indicator
+        fs = real(T)
+        sigma = list(fs.sigma)
+        sigma[0] = -sigma[0]
+        return IndicatorData(sigma=tuple(sigma), r=fs.r, r_max=fs.r_max)
+
+    monkeypatch.setattr(kron, "fs_indicators", wrong_sigma)
+    code, out = run(capsys, "verify", *S3, "--d", "2")
+    assert code == 2
+    rec = {r["name"]: r for r in json.loads(out)["records"]}
+    assert rec["rconj_2"]["agree"] is False
+    assert rec["rconj_2"]["values"]["r_moment"] != rec["rconj_2"]["values"]["sigma_weighted"]
+    assert rec["conj_2"]["agree"] is True

@@ -49,13 +49,6 @@ def test_kappa_tensor_symmetry_and_cache():
     assert (t3 == t3.transpose(2, 1, 0)).all()
 
 
-def test_kappa_fast_matches_big_integer_path():
-    for fam, params in [("symmetric", (4,)), ("alternating", (4,)),
-                        ("psl2", (5,)), ("frobenius", (7, 1, 3))]:
-        T = table(fam, *params)
-        assert (kron.kappa_tensor3(T) == kron._kappa3_pure(T)).all()
-
-
 def test_kappa4_consistency_with_direct_sum():
     T = table("symmetric", 3)
     t4 = kron.kappa_tensor4(T)
