@@ -463,6 +463,8 @@ def load_table(text: str) -> CharacterTable:
         raise TableError("format error: inconsistent class count")
     if sum(sizes) != order:
         raise TableError("format error: class sizes do not sum to the order")
+    if order % exponent:
+        raise TableError("format error: the exponent does not divide the order")
     if any(not 0 <= c < k for c in powermap2):
         raise TableError("format error: powermap out of range")
     irreps = []

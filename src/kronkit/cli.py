@@ -82,7 +82,7 @@ def _build_group(args) -> tuple[str, GroupTable]:
         raise GroupError("need --family or --group-file")
     spec = FamilySpec(args.family, _parse_params(args.params))
     label = args.family + "(" + ",".join(str(p) for p in spec.params) + ")"
-    return label, zoo_build(spec)
+    return label, zoo_build(spec, args.order_cap)
 
 
 def _get_table(args) -> tuple[str, CharacterTable]:
@@ -305,7 +305,7 @@ def cmd_scan(args) -> Report:
     for label, family, params in entries:
         t0 = time.perf_counter()
         try:
-            G = zoo_build(FamilySpec(family, params))
+            G = zoo_build(FamilySpec(family, params), args.order_cap)
             T = character_table(G)
             ds = [1, 2] + ([3] if G.order <= 24 else [])
             for d in ds:

@@ -46,8 +46,21 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(e: int) -> int:
-    return len(cyclotomic_polynomial(e)) - 1
+    """phi(e) = e * prod(1 - 1/p) over the primes p dividing e."""
+    if e < 1:
+        raise ValueError("conductor must be positive")
+    phi, rest, p = e, e, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 @lru_cache(maxsize=None)

@@ -256,8 +256,10 @@ def conjugacy_data(G: GroupTable, powers=(2,)) -> ConjugacyData:
 
 
 def subgroup_closure(G: GroupTable, seed) -> SubgroupSpec:
-    known = {0}
     queue = list(dict.fromkeys(seed))
+    if any(not 0 <= s < G.order for s in queue):
+        raise GroupError(f"subgroup generators must lie in 0..{G.order - 1}")
+    known = {0}
     for s in queue:
         known.add(s)
     while queue:

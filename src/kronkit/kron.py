@@ -120,8 +120,20 @@ def kappa_tensor4(T: CharacterTable) -> np.ndarray:
     if t4 is not None:
         return t4
     t3 = kappa_tensor3(T)
-    perm = [T.conjugate_irrep(w) for w in range(T.num_classes)]
-    t4 = np.einsum("abw,wcd->abcd", t3, t3[perm, :, :].astype(np.int64))
+    k = T.num_classes
+    perm = [T.conjugate_irrep(w) for w in range(k)]
+    right = t3[perm].reshape(k, k * k)
+    top = int(t3.max())
+    if k * top * top < 2**53:
+        # kappa3 >= 0, so every product and partial sum of the k-term dot
+        # products is an integer in [0, k * top^2], which float64 holds exactly
+        right = right.astype(np.float64)
+        t4 = np.empty((k, k, k * k), dtype=np.int64)
+        for a in range(k):  # one (k x k) @ (k x k^2) slice keeps temporaries at k^3
+            t4[a] = t3[a].astype(np.float64) @ right
+    else:
+        t4 = t3.astype(object) @ right.astype(object)
+    t4 = t4.reshape(k, k, k, k)
     T._cache["kappa4"] = t4
     return t4
 
@@ -141,12 +153,10 @@ def conj_count(T: CharacterTable, d: int) -> CountReport:
     rep.add("burnside", total // T.order)
     if d == 1:
         rep.add("kappa_sq", T.num_classes)
-    elif d == 2:
-        t3 = kappa_tensor3(T)
-        rep.add("kappa_sq", int((t3.astype(object) ** 2).sum()))
-    elif d == 3:
-        t4 = kappa_tensor4(T)
-        rep.add("kappa_sq", int((t4.astype(object) ** 2).sum()))
+    elif d in (2, 3):
+        # squares of the distinct values in Python ints: exact at any size
+        values, counts = np.unique(_kappa_d_tensor(T, d), return_counts=True)
+        rep.add("kappa_sq", sum(int(v) ** 2 * int(c) for v, c in zip(values, counts)))
     return rep
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
 from .groupcore import GroupError, GroupTable, SubgroupSpec, direct_product, is_subgroup
 
@@ -30,39 +32,29 @@ class DoubleCosetDecomposition:
     self_inverse_count: int
 
 
-def _decode(t: int, n: int, d: int) -> tuple[int, ...]:
-    """Tuple for index t, first coordinate most significant (index order
-    is then exactly lexicographic order on tuples)."""
-    out = []
-    for _ in range(d):
-        out.append(t % n)
-        t //= n
-    return tuple(reversed(out))
-
-
 def simultaneous_classes(G: GroupTable, d: int,
                          orbit_cap: int = DEFAULT_ORBIT_CAP) -> OrbitPartition:
-    """Exact orbit partition of G^d under simultaneous conjugation."""
+    """Exact orbit partition of G^d under simultaneous conjugation.
+
+    Representatives are the least tuples of their orbits, in lexicographic
+    order; an orbit is real when it holds the inverse of its representative.
+    """
     n = G.order
     if n**d > orbit_cap:
         raise GroupError("orbit space exceeds cap")
-    mul_flat = [v for row in G.mul for v in row]
     gens = list(G.generating_set()) or [0]
-    root = _kernels.conjugation_orbit_roots(mul_flat, list(G.inv), gens, n, d)
-    rep_indices = sorted(t for t in range(n**d) if root[t] == t)
-    reps = tuple(_decode(t, n, d) for t in rep_indices)
-    radices = [n**i for i in range(d - 1, -1, -1)]
-    real_flags = []
-    for t in rep_indices:
-        tup = _decode(t, n, d)
-        inv_idx = sum(G.inv[x] * radices[i] for i, x in enumerate(tup))
-        real_flags.append(root[inv_idx] == t)
+    root = _kernels.conjugation_orbit_roots(G.mul, G.inv, gens, n, d)
+    reps = np.flatnonzero(root == np.arange(root.size, dtype=root.dtype))
+    coords = np.unravel_index(reps, (n,) * d)
+    inv = np.asarray(G.inv)
+    inverses = np.ravel_multi_index(tuple(inv[c] for c in coords), (n,) * d)
+    real_flags = root[inverses] == reps
     return OrbitPartition(
         d=d,
-        orbit_count=len(rep_indices),
-        real_orbit_count=sum(real_flags),
-        reps=reps,
-        real_flags=tuple(real_flags),
+        orbit_count=len(reps),
+        real_orbit_count=int(real_flags.sum()),
+        reps=tuple(zip(*(c.tolist() for c in coords))),
+        real_flags=tuple(real_flags.tolist()),
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 from .groupcore import (
     DEFAULT_ORDER_CAP,
@@ -200,6 +201,8 @@ def make_field(q: int) -> FiniteField:
 # -- basic families ----------------------------------------------------------
 
 def cyclic(n: int) -> GroupTable:
+    if n < 1:
+        raise GroupError("cyclic order must be positive")
     return GroupTable([[(a + b) % n for b in range(n)] for a in range(n)])
 
 
@@ -260,6 +263,8 @@ def generalized_quaternion(A: GroupTable) -> GroupTable:
 def heisenberg(n: int, q: int) -> GroupTable:
     """H_n(F_q): triples (x, y; z) in F_q^n x F_q^n x F_q with
     (x,y;z)(x',y';z') = (x+x', y+y'; z+z'+x.y')."""
+    if n < 1:
+        raise GroupError("n must be positive")
     F = make_field(q)
     total = q ** (2 * n + 1)
     if total > DEFAULT_ORDER_CAP:
@@ -394,8 +399,10 @@ def psl2(q: int) -> GroupTable:
 
 def frobenius(p: int, b: int, q: int) -> GroupTable:
     """C_p^b x| C_q with C_q acting as a primitive q-th root of F_{p^b}."""
-    if any(q % t == 0 for t in range(2, q)):
+    if q < 2 or any(q % t == 0 for t in range(2, q)):
         raise GroupError("q must be prime")
+    if b < 1:
+        raise GroupError("b must be positive")
     pb = p**b
     if (pb - 1) % q:
         raise GroupError("q must divide p^b - 1")
@@ -429,7 +436,50 @@ def heisenberg_odd_p3(p: int) -> GroupTable:
 
 # -- dispatcher ---------------------------------------------------------------
 
-def zoo_build(spec: FamilySpec) -> GroupTable:
+def family_order(spec: FamilySpec) -> int:
+    """The order of the group ``spec`` builds, from its parameters alone.
+
+    Meaningful only for parameters the constructor accepts; it lets a cap
+    be applied before any table is built.  For n > 21 the symmetric and
+    alternating orders are given as those of n = 21, which exceed 2^64.
+    """
+    fam, params = spec.family, spec.params
+    if fam in ("cyclic", "abelian"):
+        return prod(params)
+    if fam in ("generalized_dihedral", "generalized_quaternion"):
+        return 2 * prod(params)
+    if fam == "symmetric":
+        (n,) = params
+        return factorial(min(max(n, 1), 21))
+    if fam == "alternating":
+        (n,) = params
+        return factorial(min(n, 21)) // 2 if n > 2 else 1
+    if fam == "heisenberg":
+        n, q = params
+        return q ** (2 * max(n, 0) + 1)
+    if fam == "extraspecial2":
+        a, b = params
+        return 2 ** (2 * max(a + b, 0) + 1)
+    if fam == "gl2":
+        (q,) = params
+        return (q * q - 1) * (q * q - q)
+    if fam == "psl2":
+        (q,) = params
+        return q * (q * q - 1) // (1 if q % 2 == 0 else 2)
+    if fam == "frobenius":
+        p, b, q = params
+        return p ** max(b, 0) * q
+    if fam == "heisenberg_odd_p3":
+        (p,) = params
+        return p**3
+    raise GroupError(f"unknown family {fam!r}")
+
+
+def zoo_build(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """Build the group of ``spec``; a group above ``order_cap`` raises
+    ``GroupError`` before any table is built."""
+    if family_order(spec) > order_cap:
+        raise GroupError("group exceeds order cap")
     fam, params = spec.family, spec.params
     if fam == "cyclic":
         (n,) = params

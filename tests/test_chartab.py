@@ -155,6 +155,7 @@ S3_TEXT = resources.files("kronkit").joinpath("data/golden/S3.tbl").read_text()
     ("sizes 1 3 2", "sizes 4 0 2", "positive"),
     ("6:[]", "6:[0=1/0]", "format error"),
     ("chi: 6:[0=2/1]", "chi: 6:[1=1/1]", "degree"),
+    ("exponent 6", "exponent 600006", "exponent does not divide the order"),
 ])
 def test_load_table_input_contract(old, new, message):
     assert old in S3_TEXT

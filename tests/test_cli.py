@@ -150,6 +150,35 @@ def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
         assert out == "" and err == output + "\n"
 
 
+@pytest.mark.parametrize("args,error", [
+    (("--family", "symmetric", "--params", "4", "--subgroup-gens", "99"),
+     "subgroup generators must lie in 0..23"),
+    (("--family", "symmetric", "--params", "4", "--subgroup-gens", "-1"),
+     "subgroup generators must lie in 0..23"),
+    (("--family", "cyclic", "--params", "0"), "cyclic order must be positive"),
+    (("--family", "frobenius", "--params", "7", "1", "0"), "q must be prime"),
+    (("--family", "heisenberg", "--params", "-1", "2"), "n must be positive"),
+    # the cap applies before the group is built
+    (("--family", "symmetric", "--params", "6", "--order-cap", "100"), "group exceeds order cap"),
+    (("--family", "extraspecial2", "--params", "3", "3", "--order-cap", "1000"),
+     "group exceeds order cap"),
+])
+def test_verify_bad_input_exit_codes(capsys, args, error):
+    assert main(["verify", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: " + error + "\n"
+
+
+def test_exponent_not_dividing_order_is_a_one_line_error(capsys, tmp_path):
+    tf = tmp_path / "t.tbl"
+    assert main(["chartab", *S3, "--out", str(tf)]) == 0
+    tf.write_text(tf.read_text().replace("exponent 6", "exponent 600006"))
+    capsys.readouterr()
+    assert main(["verify", "--table-file", str(tf)]) == 1
+    assert capsys.readouterr().err == (
+        "error: format error: the exponent does not divide the order\n")
+
+
 def test_tampered_imported_table_is_a_one_line_error(capsys, tmp_path):
     tf = tmp_path / "t.tbl"
     assert main(["chartab", *S3, "--out", str(tf)]) == 0

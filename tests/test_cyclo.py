@@ -27,6 +27,8 @@ def test_cyclotomic_polynomials():
 
 def test_euler_phi():
     assert [euler_phi(e) for e in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert all(euler_phi(e) == len(cyclotomic_polynomial(e)) - 1 for e in range(1, 200))
+    assert euler_phi(600006) == 181800  # 2 * 3 * 11 * 9091, no Phi_e built
 
 
 def test_roots_of_unity():

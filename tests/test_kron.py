@@ -1,8 +1,10 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
 from kronkit import kron
-from kronkit.chartab import VerificationError, fs_indicators
+from kronkit.chartab import VerificationError, dump_table, fs_indicators, load_table
 from kronkit.groupcore import subgroup_closure
 from kronkit.orbits import (
     diagonal_subgroup,
@@ -57,6 +59,37 @@ def test_kappa4_consistency_with_direct_sum():
             for c in range(3):
                 for d in range(3):
                     assert t4[a, b, c, d] == kron.kronecker(T, (a, b, c, d)).value
+
+
+def _fresh_table(fam, *params):
+    """A table with empty caches, so crafted tensors can be planted."""
+    return load_table(dump_table(table(fam, *params)))
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_kappa4_exact_at_float_bound(above):
+    # C3 has two complex irreps, so the conjugation permutation is not trivial
+    T = _fresh_table("cyclic", 3)
+    k = T.num_classes
+    top = isqrt((2**53 - 1) // k) + above  # k * top^2 < 2^53 exactly when not above
+    rng = np.random.default_rng(0)
+    t3 = top - rng.integers(0, 2, size=(k, k, k))
+    t3[0, 0, 0] = top
+    T._cache["kappa3"] = t3
+    t4 = kron.kappa_tensor4(T)
+    assert t4.dtype == (object if above else np.int64)
+    perm = [T.conjugate_irrep(w) for w in range(k)]
+    for a, b, c, d in np.ndindex(k, k, k, k):
+        exact = sum(int(t3[a, b, w]) * int(t3[perm[w], c, d]) for w in range(k))
+        assert t4[a, b, c, d] == exact
+
+
+def test_conj_count_kappa_sq_exact_beyond_int64():
+    T = _fresh_table("symmetric", 3)
+    t4 = np.full((3, 3, 3, 3), 2**40, dtype=object)
+    t4[0, 0, 0, 0] = 3**30
+    T._cache["kappa4"] = t4
+    assert kron.conj_count(T, 3).values["kappa_sq"] == 80 * 2**80 + 3**60
 
 
 @pytest.mark.parametrize("fam,params,d,count", [

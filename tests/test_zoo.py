@@ -1,7 +1,8 @@
 import pytest
 
 from kronkit.groupcore import GroupError, conjugacy_data
-from kronkit.zoo import FamilySpec, make_field, zoo_build
+from kronkit.cli import _battery_entries
+from kronkit.zoo import FamilySpec, family_order, make_field, zoo_build
 
 from conftest import build
 
@@ -69,8 +70,20 @@ def test_make_field_rejects_non_prime_power():
 ])
 def test_family_orders_and_classes(family, params, order, classes):
     G = build(family, *params)
-    assert G.order == order
+    assert G.order == order == family_order(FamilySpec(family, params))
     assert conjugacy_data(G).num_classes == classes
+
+
+def test_family_order_matches_battery():
+    for _, family, params in _battery_entries(None):
+        assert family_order(FamilySpec(family, params)) == build(family, *params).order
+
+
+def test_order_cap_applies_before_building():
+    spec = FamilySpec("symmetric", (5,))
+    assert zoo_build(spec, order_cap=120).order == 120
+    with pytest.raises(GroupError, match="order cap"):
+        zoo_build(spec, order_cap=119)
 
 
 def test_q8_structure():
