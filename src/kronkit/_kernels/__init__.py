@@ -51,7 +51,7 @@ def conjugation_orbit_roots(mul, inv, gens, n: int, d: int) -> np.ndarray:
     """
     size = n**d
     dtype = index_dtype(size)
-    mul = np.asarray(mul, dtype=np.int64).reshape(n, n)
+    mul = np.asarray(mul).reshape(n, n)
     inv = np.asarray(inv, dtype=np.int64)
     maps = []
     for g in gens:

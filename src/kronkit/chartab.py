@@ -78,18 +78,28 @@ class CharacterTable:
         return self.irreps[irrep].values[cls]
 
     def conjugate_irrep(self, irrep: int) -> int:
-        """Index of the contragredient irrep (entrywise complex conjugate)."""
+        """Index of the contragredient irrep (entrywise complex conjugate).
+
+        With class data, conj(chi)(g) = chi(g^-1): the conjugate row is the
+        row read at the inverse classes, and no value is conjugated.  An
+        imported table conjugates every value.
+        """
         perm = self._cache.get("conj_irrep")
         if perm is None:
-            keys = {ch.serialize_values(): i for i, ch in enumerate(self.irreps)}
+            rows = [ch.serialize_values() for ch in self.irreps]
+            keys = {row: i for i, row in enumerate(rows)}
+            if self.classes is not None:
+                inverse = self.classes.inverse_class
+                conj_rows = [tuple(row[c] for c in inverse) for row in rows]
+            else:
+                conj_rows = [tuple(v.conjugate().serialize() for v in ch.values)
+                             for ch in self.irreps]
             perm = []
-            for ch in self.irreps:
-                conj_key = tuple(v.conjugate().serialize() for v in ch.values)
-                if conj_key not in keys:
+            for row in conj_rows:
+                if row not in keys:
                     raise VerificationError("contragredient character missing")
-                perm.append(keys[conj_key])
-            perm = tuple(perm)
-            self._cache["conj_irrep"] = perm
+                perm.append(keys[row])
+            perm = self._cache["conj_irrep"] = tuple(perm)
         return perm[irrep]
 
 

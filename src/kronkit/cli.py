@@ -74,10 +74,7 @@ def _parse_params(raw: list[str]) -> tuple[int, ...]:
 def _build_group(args) -> tuple[str, GroupTable]:
     if args.group_file:
         with open(args.group_file) as fh:
-            G = load_group(fh.read())
-        if G.order > args.order_cap:
-            raise GroupError("group exceeds order cap")
-        return args.group_file, G
+            return args.group_file, load_group(fh.read(), args.order_cap)
     if not args.family:
         raise GroupError("need --family or --group-file")
     spec = FamilySpec(args.family, _parse_params(args.params))

@@ -9,10 +9,23 @@ which checks associativity exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from math import lcm
+from functools import cached_property, reduce
+from math import isqrt, lcm
 
-DEFAULT_ORDER_CAP = 20000
+import numpy as np
+
+# What one Cayley table may cost.  A group of order n is an n x n table of
+# int32 entries (4 bytes) plus the tuple view ``GroupTable.mul`` (8 bytes: a
+# pointer to one of n shared ints).  Building it peaks higher: measured in a
+# fresh process (ru_maxrss), S7 takes 12.8 bytes per entry, a direct product
+# 12, and a semidirect product or a Heisenberg group 16, the most.  So a
+# group is admitted while n^2 * TABLE_BYTES_PER_ENTRY fits TABLE_BUDGET_BYTES:
+# n <= 5792, which admits S7 (5040) and refuses 2^13.  Constructors that pass
+# through a larger group (a central product's G x H, the A x| C4 behind a
+# generalized quaternion group) apply the same cap to it.
+TABLE_BYTES_PER_ENTRY = 16
+TABLE_BUDGET_BYTES = 2**29
+DEFAULT_ORDER_CAP = isqrt(TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ENTRY)
 
 
 class GroupError(ValueError):
@@ -20,25 +33,34 @@ class GroupError(ValueError):
 
 
 class GroupTable:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table.
+
+    ``table`` is the n x n int32 array of products; ``mul`` is the same table
+    as row tuples, for code that indexes it from Python loops.
+    """
 
     def __init__(self, mul, labels=None):
-        self.mul = tuple(tuple(row) for row in mul)
-        self.order = len(self.mul)
+        table = np.asarray(mul, dtype=np.int32)
+        if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size:
+            raise GroupError("table is not a non-empty square")
+        table.flags.writeable = False
+        self.table = table
+        self.order = len(table)
         self.id = 0
-        inv = [None] * self.order
-        for x in range(self.order):
-            row = self.mul[x]
-            for y in range(self.order):
-                if row[y] == 0:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise GroupError("missing inverse")
-        self.inv = tuple(inv)
+        # the first 0 of each row: entries are >= 0, so argmin finds it if any
+        inv = table.argmin(axis=1)
+        if (table[np.arange(self.order), inv] != 0).any():
+            raise GroupError("missing inverse")
+        self.inv = tuple(inv.tolist())
         self.labels = tuple(labels) if labels is not None else None
         self._orders = None
         self._gens = None
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        # every row refers to the same n int objects: 8 bytes per entry
+        ints = np.arange(self.order).astype(object)
+        return tuple(tuple(ints[row].tolist()) for row in self.table)
 
     # -- basic queries -----------------------------------------------------
 
@@ -73,61 +95,55 @@ class GroupTable:
         return out
 
     def generating_set(self) -> tuple[int, ...]:
-        """A small deterministic generating set (greedy by element index)."""
+        """A small deterministic generating set: greedily, the least element
+        outside the subgroup the generators so far generate."""
         if self._gens is None:
             gens: list[int] = []
-            known = {0}
-            while len(known) < self.order:
-                g = min(x for x in range(self.order) if x not in known)
-                gens.append(g)
-                frontier = list(known | {g})
-                known.add(g)
-                queue = [g]
-                while queue:
-                    x = queue.pop()
-                    for y in frontier:
-                        for z in (self.mul[x][y], self.mul[y][x]):
-                            if z not in known:
-                                known.add(z)
-                                frontier.append(z)
-                                queue.append(z)
+            inside = np.zeros(self.order, dtype=bool)
+            inside[0] = True
+            while not inside.all():
+                gens.append(int(inside.argmin()))
+                _close(self.table, inside, gens)
             self._gens = tuple(gens)
         return self._gens
 
     def is_abelian(self) -> bool:
-        m = self.mul
-        return all(m[a][b] == m[b][a] for a in range(self.order) for b in range(a))
+        return bool((self.table == self.table.T).all())
 
     def validate(self) -> "GroupTable":
         """Exhaustive identity/inverse/associativity check (O(n^3))."""
-        n = self.order
-        for x in range(n):
-            if self.mul[0][x] != x or self.mul[x][0] != x:
-                raise GroupError("no identity")
-            if self.mul[x][self.inv[x]] != 0:
-                raise GroupError("missing inverse")
-        try:
-            import numpy as np
-
-            m = np.array(self.mul, dtype=np.int32)
-            for a in range(n):
-                left = m[m[a], :]          # (ab)c for all b, c
-                right = m[a][m]            # a(bc)
-                if not np.array_equal(left, right):
-                    b, c = map(int, np.argwhere(left != right)[0])
-                    raise GroupError(f"associativity violated at ({a},{b},{c})")
-        except ImportError:  # pragma: no cover
-            m = self.mul
-            for a in range(n):
-                for b in range(n):
-                    ab = m[a][b]
-                    for c in range(n):
-                        if m[ab][c] != m[a][m[b][c]]:
-                            raise GroupError(f"associativity violated at ({a},{b},{c})")
+        m = self.table
+        ar = np.arange(self.order)
+        if not ((m[0] == ar).all() and (m[:, 0] == ar).all()):
+            raise GroupError("no identity")
+        if (m[ar, self.inv] != 0).any():
+            raise GroupError("missing inverse")
+        for a in range(self.order):
+            left = m[m[a], :]          # (ab)c for all b, c
+            right = m[a][m]            # a(bc)
+            if not np.array_equal(left, right):
+                b, c = map(int, np.argwhere(left != right)[0])
+                raise GroupError(f"associativity violated at ({a},{b},{c})")
         return self
 
     def __repr__(self):
         return f"GroupTable(order={self.order})"
+
+
+def _close(table: np.ndarray, inside: np.ndarray, gens) -> None:
+    """Grow the mask ``inside`` in place to the subgroup generated by ``gens``.
+
+    ``inside`` must hold the identity and lie in that subgroup.  It is closed
+    under right multiplication by every generator; in a finite group the
+    words in ``gens`` that this reaches from the identity are the subgroup.
+    """
+    cols = np.asarray(gens, dtype=np.intp)
+    frontier = np.flatnonzero(inside)
+    while frontier.size:
+        reached = np.zeros_like(inside)
+        reached[table[np.ix_(frontier, cols)]] = True
+        frontier = np.flatnonzero(reached & ~inside)
+        inside |= reached
 
 
 @dataclass(frozen=True)
@@ -163,7 +179,15 @@ def _perm_mul(p, q):
 
 def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
                           labels_from_perms: bool = False) -> GroupTable:
-    """Closure of permutation generators, breadth-first from the identity."""
+    """Closure of permutation generators, breadth-first from the identity.
+
+    Element k is the k-th permutation the search reaches, taking elements in
+    index order and, for each, the generators in the order given.  The search
+    records right[j][x], the index of x * g_j, and for each new element b its
+    parent and generator: b = parent(b) * g_via(b).  The table is then filled
+    column by column, a BFS level at a time, from a * b = (a * parent(b)) *
+    g_via(b): column b is right[via(b)] gathered at column parent(b).
+    """
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens]
     for g in gens:
@@ -171,21 +195,35 @@ def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
             raise GroupError("generator is not a permutation")
     elems = [ident]
     index = {ident: 0}
+    right: list[list[int]] = [[] for _ in gens]
+    parent, via = [0], [0]
+    level_ends = [1]  # BFS level i holds the elements below level_ends[i]
     head = 0
     while head < len(elems):
-        x = elems[head]
-        head += 1
-        for g in gens:
-            y = _perm_mul(x, g)
-            if y not in index:
-                if len(elems) >= order_cap:
-                    raise GroupError("group too large")
-                index[y] = len(elems)
-                elems.append(y)
+        end = len(elems)
+        for x in range(head, end):
+            for j, g in enumerate(gens):
+                y = _perm_mul(elems[x], g)
+                k = index.get(y)
+                if k is None:
+                    if len(elems) >= order_cap:
+                        raise GroupError("group too large")
+                    k = index[y] = len(elems)
+                    elems.append(y)
+                    parent.append(x)
+                    via.append(j)
+                right[j].append(k)
+        head = end
+        level_ends.append(len(elems))
     n = len(elems)
-    mul = [[index[_perm_mul(elems[a], elems[b])] for b in range(n)] for a in range(n)]
+    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
+    parent, via = np.array(parent), np.array(via)
+    cols = np.empty((n, n), dtype=np.int32)  # cols[b] = column b of the table
+    cols[0] = np.arange(n)
+    for lo, hi in zip(level_ends, level_ends[1:]):
+        cols[lo:hi] = right[via[lo:hi, None], cols[parent[lo:hi]]]
     labels = [str(p) for p in elems] if labels_from_perms else None
-    return GroupTable(mul, labels=labels)
+    return GroupTable(np.ascontiguousarray(cols.T), labels=labels)
 
 
 def validate_cayley(table, labels=None) -> GroupTable:
@@ -194,26 +232,28 @@ def validate_cayley(table, labels=None) -> GroupTable:
     The identity is relocated to index 0 if necessary (canonical relabeling).
     """
     n = len(table)
-    table = [list(row) for row in table]
-    for row in table:
-        if len(row) != n or any(not (0 <= v < n) for v in row):
-            raise GroupError("table entries out of range")
-    ident = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            ident = e
-            break
-    if ident is None:
+    if any(len(row) != n for row in table):
+        raise GroupError("table entries out of range")
+    try:
+        m = np.array(table, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        raise GroupError("table entries out of range") from None
+    if ((m < 0) | (m >= n)).any():
+        raise GroupError("table entries out of range")
+    ar = np.arange(n)
+    both = np.flatnonzero((m == ar).all(axis=1) & (m == ar[:, None]).all(axis=0))
+    if not both.size:
         raise GroupError("no identity")
+    ident = int(both[0])
     if ident != 0:
         # relabel by swapping 0 <-> ident
-        sw = list(range(n))
+        sw = ar.copy()
         sw[0], sw[ident] = ident, 0
-        table = [[sw[table[sw[a]][sw[b]]] for b in range(n)] for a in range(n)]
+        m = sw[m[np.ix_(sw, sw)]]
         if labels is not None:
             labels = list(labels)
             labels[0], labels[ident] = labels[ident], labels[0]
-    G = GroupTable(table, labels=labels)  # raises on missing inverse
+    G = GroupTable(m, labels=labels)  # raises on missing inverse
     return G.validate()
 
 
@@ -256,105 +296,85 @@ def conjugacy_data(G: GroupTable, powers=(2,)) -> ConjugacyData:
 
 
 def subgroup_closure(G: GroupTable, seed) -> SubgroupSpec:
-    queue = list(dict.fromkeys(seed))
-    if any(not 0 <= s < G.order for s in queue):
+    seed = list(dict.fromkeys(seed))
+    if any(not 0 <= s < G.order for s in seed):
         raise GroupError(f"subgroup generators must lie in 0..{G.order - 1}")
-    known = {0}
-    for s in queue:
-        known.add(s)
-    while queue:
-        x = queue.pop()
-        for y in list(known):
-            for z in (G.mul[x][y], G.mul[y][x], G.inv[x]):
-                if z not in known:
-                    known.add(z)
-                    queue.append(z)
-    elements = tuple(sorted(known))
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
+    _close(G.table, inside, seed)
+    elements = tuple(np.flatnonzero(inside).tolist())
     if G.order % len(elements):
         raise GroupError("closure violates Lagrange")  # defensive; cannot happen
     return SubgroupSpec(elements=elements, order=len(elements))
 
 
+def _mask(G: GroupTable, elements) -> np.ndarray:
+    inside = np.zeros(G.order, dtype=bool)
+    inside[list(elements)] = True
+    return inside
+
+
 def is_subgroup(G: GroupTable, K: SubgroupSpec) -> bool:
-    s = set(K.elements)
-    if 0 not in s:
-        return False
-    return all(G.mul[a][b] in s and G.inv[a] in s for a in s for b in s)
+    els = np.array(K.elements, dtype=np.intp)
+    inside = _mask(G, els)
+    return bool(inside[0] and inside[G.table[np.ix_(els, els)]].all()
+                and inside[np.asarray(G.inv)[els]].all())
 
 
 def direct_product(G: GroupTable, H: GroupTable,
                    order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """G x H with (a, b) at index a * |H| + b."""
     n, m = G.order, H.order
     if n * m > order_cap:
         raise GroupError("group too large")
-    gm, hm = G.mul, H.mul
-    mul = [
-        [gm[a][c] * m + hm[b][d] for c in range(n) for d in range(m)]
-        for a in range(n)
-        for b in range(m)
-    ]
-    return GroupTable(mul)
+    table = G.table[:, None, :, None] * m + H.table[None, :, None, :]
+    return GroupTable(table.reshape(n * m, n * m))
 
 
-def _check_action(A: GroupTable, H: GroupTable, action):
+def _check_action(A: GroupTable, H: GroupTable, action) -> np.ndarray:
+    """The action as an |H| x |A| array, checked to be a homomorphism H -> Aut(A)."""
     action = [tuple(a) for a in action]
     if len(action) != H.order:
         raise GroupError("action must give one map per element of H")
-    idx = set(range(A.order))
-    for perm in action:
-        if set(perm) != idx:
-            raise GroupError("action not automorphism")
-        for a in range(A.order):
-            for b in range(A.order):
-                if perm[A.mul[a][b]] != A.mul[perm[a]][perm[b]]:
-                    raise GroupError("action not automorphism")
-    for h1 in range(H.order):
-        for h2 in range(H.order):
-            composed = tuple(action[h1][action[h2][a]] for a in range(A.order))
-            if action[H.mul[h1][h2]] != composed:
-                raise GroupError("action not homomorphism")
-    return action
+    ident = list(range(A.order))
+    if any(sorted(perm) != ident for perm in action):
+        raise GroupError("action not automorphism")
+    P, t = np.array(action, dtype=np.intp), A.table
+    # perm(ab) = perm(a) perm(b) for every perm, a, b
+    if (P[:, t] != t[P[:, :, None], P[:, None, :]]).any():
+        raise GroupError("action not automorphism")
+    # action[h1 h2] = action[h1] o action[h2]
+    if (P[H.table] != P[np.arange(H.order)[:, None, None], P[None, :, :]]).any():
+        raise GroupError("action not homomorphism")
+    return P
 
 
 def semidirect_product(A: GroupTable, H: GroupTable, action,
                        order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """A x| H with multiplication (a,h)(a',h') = (a * action[h](a'), hh')."""
-    action = _check_action(A, H, action)
+    """A x| H with multiplication (a,h)(a',h') = (a * action[h](a'), hh'),
+    (a, h) at index a * |H| + h."""
     n, m = A.order, H.order
     if n * m > order_cap:
         raise GroupError("group too large")
-    mul = [
-        [A.mul[a][action[h][a2]] * m + H.mul[h][h2] for a2 in range(n) for h2 in range(m)]
-        for a in range(n)
-        for h in range(m)
-    ]
-    return GroupTable(mul)
+    P = _check_action(A, H, action)  # holds |H| |A|^2 entries
+    left = A.table[:, P]  # [a, h, a'] = a * action[h](a')
+    table = left[:, :, :, None] * m + H.table[None, :, None, :]
+    return GroupTable(table.reshape(n * m, n * m))
 
 
 def quotient_group(G: GroupTable, N: SubgroupSpec):
     """G/N with cosets indexed by their least element. Returns (Q, projection)."""
-    nset = set(N.elements)
     if not is_subgroup(G, N):
         raise GroupError("not a subgroup")
-    for g in range(G.order):
-        for x in N.elements:
-            if G.conj(g, x) not in nset:
-                raise GroupError("subgroup not normal")
-    proj = [-1] * G.order
-    coset_reps: list[int] = []
-    for g in range(G.order):
-        if proj[g] >= 0:
-            continue
-        c = len(coset_reps)
-        coset_reps.append(g)
-        for x in N.elements:
-            proj[G.mul[g][x]] = c
-    q = len(coset_reps)
-    mul = [
-        [proj[G.mul[coset_reps[a]][coset_reps[b]]] for b in range(q)]
-        for a in range(q)
-    ]
-    return GroupTable(mul), tuple(proj)
+    t, els = G.table, np.array(N.elements, dtype=np.intp)
+    conj = t[t[:, els], np.asarray(G.inv)[:, None]]  # [g, x] = g x g^-1
+    if not _mask(G, els)[conj].all():
+        raise GroupError("subgroup not normal")
+    # coset gN is numbered by the rank of its least element
+    least = t[:, els].min(axis=1)
+    coset_reps = np.flatnonzero(least == np.arange(G.order))
+    proj = np.searchsorted(coset_reps, least)
+    return GroupTable(proj[t[np.ix_(coset_reps, coset_reps)]]), tuple(proj.tolist())
 
 
 # -- exchange format ---------------------------------------------------------
@@ -369,15 +389,33 @@ def dump_group(G: GroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_group(text: str) -> GroupTable:
-    """Parse the group exchange format and validate the table exhaustively."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+def load_group(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """Parse the group exchange format and validate the table exhaustively.
+
+    The order line is read first, so a group above ``order_cap`` is refused
+    before any row is parsed or checked.  Every malformed input raises
+    ``GroupError``.
+    """
+    lines = text.splitlines()
     body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
-    labels = [ln[len("# label "):] for ln in lines if ln.startswith("# label ")]
-    if not body or not body[0].startswith("order "):
+    head = body[0].split() if body else []
+    if len(head) != 2 or head[0] != "order":
         raise GroupError("format error: missing order line")
-    n = int(body[0].split()[1])
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise GroupError("format error: order is not an integer") from None
+    if n < 1:
+        raise GroupError("format error: order must be positive")
+    if n > order_cap:
+        raise GroupError("group exceeds order cap")
     if len(body) != n + 1:
         raise GroupError("format error: wrong number of rows")
-    table = [[int(v) for v in ln.split()] for ln in body[1:]]
-    return validate_cayley(table, labels=labels if labels else None)
+    labels = [ln[len("# label "):] for ln in lines if ln.startswith("# label ")]
+    if labels and len(labels) != n:
+        raise GroupError("format error: wrong number of labels")
+    try:
+        table = [[int(v) for v in ln.split()] for ln in body[1:]]
+    except ValueError:
+        raise GroupError("format error: table entry is not an integer") from None
+    return validate_cayley(table, labels=labels or None)

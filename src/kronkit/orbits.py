@@ -43,7 +43,7 @@ def simultaneous_classes(G: GroupTable, d: int,
     if n**d > orbit_cap:
         raise GroupError("orbit space exceeds cap")
     gens = list(G.generating_set()) or [0]
-    root = _kernels.conjugation_orbit_roots(G.mul, G.inv, gens, n, d)
+    root = _kernels.conjugation_orbit_roots(G.table, G.inv, gens, n, d)
     reps = np.flatnonzero(root == np.arange(root.size, dtype=root.dtype))
     coords = np.unravel_index(reps, (n,) * d)
     inv = np.asarray(G.inv)

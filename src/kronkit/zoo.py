@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
+import numpy as np
+
 from .groupcore import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -203,7 +205,8 @@ def make_field(q: int) -> FiniteField:
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise GroupError("cyclic order must be positive")
-    return GroupTable([[(a + b) % n for b in range(n)] for a in range(n)])
+    ar = np.arange(n, dtype=np.int32)
+    return GroupTable((ar[:, None] + ar) % n)
 
 
 def abelian(invariants) -> GroupTable:
@@ -243,8 +246,13 @@ def generalized_dihedral(A: GroupTable) -> GroupTable:
     return semidirect_product(A, C2, [ident, _inversion_perm(A)])
 
 
-def generalized_quaternion(A: GroupTable) -> GroupTable:
-    """Q(A) = (A x| C4) / <(z, s^2)> for the unique order-2 element z of A."""
+def generalized_quaternion(A: GroupTable,
+                           order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """Q(A) = (A x| C4) / <(z, s^2)> for the unique order-2 element z of A.
+
+    The semidirect product A x| C4 has twice the order of Q(A); ``order_cap``
+    applies to it.
+    """
     order2 = [x for x in range(A.order) if x != 0 and A.mul[x][x] == 0]
     if len(order2) != 1:
         raise GroupError("no unique order-2 element")
@@ -252,7 +260,7 @@ def generalized_quaternion(A: GroupTable) -> GroupTable:
     C4 = cyclic(4)
     ident = tuple(range(A.order))
     invp = _inversion_perm(A)
-    S = semidirect_product(A, C4, [ident, invp, ident, invp])
+    S = semidirect_product(A, C4, [ident, invp, ident, invp], order_cap)
     # element (a, h) of S has index a*4 + h
     zs2 = z * 4 + 2
     N = subgroup_closure(S, [zs2])
@@ -269,58 +277,40 @@ def heisenberg(n: int, q: int) -> GroupTable:
     total = q ** (2 * n + 1)
     if total > DEFAULT_ORDER_CAP:
         raise GroupError("group too large")
-
-    def decode(i):
-        coords = []
-        for _ in range(2 * n + 1):
-            coords.append(i % q)
-            i //= q
-        return coords  # x_0..x_{n-1}, y_0..y_{n-1}, z
-
-    def encode(coords):
-        out = 0
-        for c in reversed(coords):
-            out = out * q + c
-        return out
-
-    elems = [decode(i) for i in range(total)]
-    mul = [[0] * total for _ in range(total)]
-    for a in range(total):
-        xa, ya, za = elems[a][:n], elems[a][n:2 * n], elems[a][2 * n]
-        for b in range(total):
-            xb, yb, zb = elems[b][:n], elems[b][n:2 * n], elems[b][2 * n]
-            dot = 0
-            for i in range(n):
-                dot = F.add[dot][F.mul[xa[i]][yb[i]]]
-            x = [F.add[xa[i]][xb[i]] for i in range(n)]
-            y = [F.add[ya[i]][yb[i]] for i in range(n)]
-            z = F.add[F.add[za][zb]][dot]
-            mul[a][b] = encode(x + y + [z])
-    return GroupTable(mul)
+    add, mul = np.array(F.add, dtype=np.int32), np.array(F.mul, dtype=np.int32)
+    # coordinate j of element i is its base-q digit j: x_0..x_{n-1}, y_0..y_{n-1}, z
+    coords = np.arange(total)[:, None] // q ** np.arange(2 * n + 1) % q
+    x, y, z = coords[:, :n], coords[:, n:2 * n], coords[:, 2 * n]
+    code = np.zeros((total, total), dtype=np.int32)
+    dot = np.zeros((total, total), dtype=np.int32)  # x . y' for every pair
+    for i in range(n):
+        dot = add[dot, mul[x[:, i, None], y[None, :, i]]]
+        code += add[x[:, i, None], x[None, :, i]] * q**i
+        code += add[y[:, i, None], y[None, :, i]] * q ** (n + i)
+    code += add[add[z[:, None], z[None, :]], dot] * q ** (2 * n)
+    return GroupTable(code)
 
 
-def central_product(G: GroupTable, H: GroupTable, zG: int, zH: int) -> GroupTable:
-    """(G x H) / <(zG, zH)> for central elements of equal order."""
-    for x in range(G.order):
-        if G.mul[x][zG] != G.mul[zG][x]:
-            raise GroupError("zG not central")
-    for x in range(H.order):
-        if H.mul[x][zH] != H.mul[zH][x]:
-            raise GroupError("zH not central")
+def central_product(G: GroupTable, H: GroupTable, zG: int, zH: int,
+                    order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """(G x H) / <(zG, zH)> for central elements of equal order.
+
+    ``order_cap`` applies to G x H, which is larger than the result.
+    """
+    if (G.table[:, zG] != G.table[zG]).any():
+        raise GroupError("zG not central")
+    if (H.table[:, zH] != H.table[zH]).any():
+        raise GroupError("zH not central")
     if G.element_order(zG) != H.element_order(zH):
         raise GroupError("central elements have different orders")
-    P = direct_product(G, H)
+    P = direct_product(G, H, order_cap)
     N = subgroup_closure(P, [zG * H.order + zH])
     Q, _ = quotient_group(P, N)
     return Q
 
 
 def _center(G: GroupTable) -> list[int]:
-    return [
-        x
-        for x in range(G.order)
-        if all(G.mul[x][y] == G.mul[y][x] for y in range(G.order))
-    ]
+    return np.flatnonzero((G.table == G.table.T).all(axis=1)).tolist()
 
 
 def _central_involution(G: GroupTable) -> int:
@@ -330,16 +320,18 @@ def _central_involution(G: GroupTable) -> int:
     return zs[0]
 
 
-def extraspecial2(a: int, b: int) -> GroupTable:
+def extraspecial2(a: int, b: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Central product of a copies of D8 and b copies of Q8 (right-associated),
-    an extraspecial 2-group of order 2^(2(a+b)+1)."""
+    an extraspecial 2-group of order 2^(2(a+b)+1).  The last direct product
+    has twice that order; ``order_cap`` applies to it."""
     if a < 0 or b < 0 or a + b < 1:
         raise GroupError("need at least one factor")
     factors = [generalized_dihedral(cyclic(4)) for _ in range(a)]
     factors += [generalized_quaternion(cyclic(4)) for _ in range(b)]
     G = factors[-1]
     for F in reversed(factors[:-1]):
-        G = central_product(F, G, _central_involution(F), _central_involution(G))
+        G = central_product(F, G, _central_involution(F), _central_involution(G),
+                            order_cap)
     return G
 
 
@@ -348,37 +340,29 @@ def gl2(q: int, cap: int = DEFAULT_ORDER_CAP, det_one: bool = False) -> GroupTab
     if q > 7:
         raise GroupError("gl2/psl2 supported for q <= 7")
     F = make_field(q)
-    mats = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    det = F.add[F.mul[a][d]][F.neg[F.mul[b][c]]]
-                    if det == 0:
-                        continue
-                    if det_one and det != 1:
-                        continue
-                    mats.append((a, b, c, d))
-    # put the identity first
-    ident = (1, 0, 0, 1)
-    mats.remove(ident)
-    mats.insert(0, ident)
-    if len(mats) > cap:
+    add, mul = np.array(F.add, dtype=np.int32), np.array(F.mul, dtype=np.int32)
+    # matrix (a, b; c, d) has the base-q code ((a q + b) q + c) q + d
+    codes = np.arange(q**4)
+    a, b, c, d = (codes // q**i % q for i in (3, 2, 1, 0))
+    det = add[mul[a, d], np.array(F.neg)[mul[b, c]]]
+    mats = codes[det == 1] if det_one else codes[det != 0]
+    ident = q**3 + 1  # (1, 0; 0, 1), put first
+    mats = np.concatenate(([ident], mats[mats != ident]))
+    n = len(mats)
+    if n > cap:
         raise GroupError("group too large")
-    index = {m: i for i, m in enumerate(mats)}
-
-    def matmul(m1, m2):
-        a, b, c, d = m1
-        e, f2, g, h = m2
-        return (
-            F.add[F.mul[a][e]][F.mul[b][g]],
-            F.add[F.mul[a][f2]][F.mul[b][h]],
-            F.add[F.mul[c][e]][F.mul[d][g]],
-            F.add[F.mul[c][f2]][F.mul[d][h]],
-        )
-
-    mul = [[index[matmul(m1, m2)] for m2 in mats] for m1 in mats]
-    return GroupTable(mul, labels=[str(m) for m in mats])
+    a, b, c, d = a[mats], b[mats], c[mats], d[mats]
+    # dot[u, v] = u . v for field vectors u, v coded u_0 q + u_1
+    u0, u1 = np.divmod(np.arange(q * q), q)
+    dot = add[mul[u0[:, None], u0], mul[u1[:, None], u1]]
+    # rows[u, m] codes the row vector u times matrix m
+    rows = dot[:, a * q + c] * q + dot[:, b * q + d]
+    element = np.zeros(q**4, dtype=np.int32)  # base-q code -> element index
+    element[mats] = np.arange(n)
+    # the rows of m1 m2 are (row 0 of m1) m2 and (row 1 of m1) m2
+    table = element[rows[a * q + b] * (q * q) + rows[c * q + d]]
+    labels = [str(m) for m in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())]
+    return GroupTable(table, labels=labels)
 
 
 def psl2(q: int) -> GroupTable:
@@ -495,13 +479,13 @@ def zoo_build(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTabl
     if fam == "generalized_dihedral":
         return generalized_dihedral(abelian(params))
     if fam == "generalized_quaternion":
-        return generalized_quaternion(abelian(params))
+        return generalized_quaternion(abelian(params), order_cap)
     if fam == "heisenberg":
         n, q = params
         return heisenberg(n, q)
     if fam == "extraspecial2":
         a, b = params
-        return extraspecial2(a, b)
+        return extraspecial2(a, b, order_cap)
     if fam == "gl2":
         (q,) = params
         return gl2(q)

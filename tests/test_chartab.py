@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronkit.chartab import (
+    CharacterTable,
     TableError,
     character_table,
     dim_fixed_space,
@@ -13,6 +14,7 @@ from kronkit.chartab import (
     fs_indicators,
     load_table,
 )
+from kronkit.cli import _battery_entries
 from kronkit.cyclo import Cyclotomic
 from kronkit.groupcore import subgroup_closure
 from kronkit.zoo import cyclic
@@ -101,6 +103,18 @@ def test_conjugate_irrep_involution():
         assert T.conjugate_irrep(j) == i
     T = table("symmetric", 4)
     assert all(T.conjugate_irrep(i) == i for i in range(5))  # all real
+
+
+def test_conjugate_irrep_by_classes_matches_conjugated_values():
+    # a computed table reads rows at the inverse classes; the same table
+    # without class data conjugates every value
+    for _, fam, params in _battery_entries(None):
+        T = table(fam, *params)
+        U = CharacterTable(order=T.order, exponent=T.exponent, sizes=T.sizes,
+                           powermap2=T.powermap2, irreps=T.irreps)
+        k = T.num_classes
+        assert [T.conjugate_irrep(i) for i in range(k)] == [
+            U.conjugate_irrep(i) for i in range(k)]
 
 
 def test_dim_fixed_space():

@@ -162,8 +162,15 @@ def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
     (("--family", "symmetric", "--params", "6", "--order-cap", "100"), "group exceeds order cap"),
     (("--family", "extraspecial2", "--params", "3", "3", "--order-cap", "1000"),
      "group exceeds order cap"),
+    # order 8192 is above the default cap; its tables are never built
+    (("--family", "extraspecial2", "--params", "3", "3"), "group exceeds order cap"),
+    # a group file is refused on its order line, before any row is read
+    (("--group-file", "GROUP_FILE", "--order-cap", "5"), "group exceeds order cap"),
 ])
-def test_verify_bad_input_exit_codes(capsys, args, error):
+def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
+    group_file = tmp_path / "g.grp"
+    group_file.write_text("order 6\nnot a row\n")
+    args = [str(group_file) if a == "GROUP_FILE" else a for a in args]
     assert main(["verify", *args]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: " + error + "\n"

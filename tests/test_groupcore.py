@@ -1,6 +1,15 @@
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronkit.cli import _battery_entries
 from kronkit.groupcore import (
+    DEFAULT_ORDER_CAP,
+    TABLE_BUDGET_BYTES,
+    TABLE_BYTES_PER_ENTRY,
     GroupError,
     GroupTable,
     conjugacy_data,
@@ -88,6 +97,8 @@ def test_semidirect_product_dihedral():
     assert not D3.is_abelian()
     with pytest.raises(GroupError):
         semidirect_product(C3, C2, [(0, 1, 2), (1, 2, 0)])  # not an automorphism
+    with pytest.raises(GroupError, match="homomorphism"):
+        semidirect_product(C3, C2, [(0, 2, 1), (0, 2, 1)])  # identity not fixed
 
 
 def test_quotient_group():
@@ -151,8 +162,204 @@ def test_load_rejects_garbage():
         load_group("nonsense\n")
 
 
+_GROUP_TOKEN = re.compile(r"(\s+)")
+_GROUP_REPLACEMENTS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["", " ", "x", "\n", "order", "order 3", "# label x", "1.5",
+                     "99999999999999999999", "0 0", "#"]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([dump_group(symmetric(3)), dump_group(cyclic(4))]),
+       st.lists(st.tuples(st.integers(0, 10**6), _GROUP_REPLACEMENTS), min_size=1, max_size=4))
+def test_load_group_fuzz_raises_only_group_error(base, edits):
+    tokens = _GROUP_TOKEN.split(base)
+    for pos, new in edits:
+        tokens[pos % len(tokens)] = new
+    try:
+        load_group("".join(tokens))
+    except GroupError:
+        pass
+
+
 def test_generating_set_generates():
     for G in (cyclic(8), symmetric(4), build("generalized_quaternion", 6)):
         gens = G.generating_set()
         K = subgroup_closure(G, gens)
         assert K.order == G.order
+
+
+def test_load_group_refuses_over_cap_before_parsing_rows():
+    # the rows are garbage: only the order line is read
+    with pytest.raises(GroupError, match="order cap"):
+        load_group("order 100000\nnot a table\n", order_cap=99999)
+    with pytest.raises(GroupError, match="format error"):
+        load_group("order 3\nnot a table\n", order_cap=3)
+
+
+def test_order_cap_follows_table_budget():
+    cap = DEFAULT_ORDER_CAP
+    assert cap**2 * TABLE_BYTES_PER_ENTRY <= TABLE_BUDGET_BYTES
+    assert (cap + 1) ** 2 * TABLE_BYTES_PER_ENTRY > TABLE_BUDGET_BYTES
+    assert 5040 <= cap < 2**13  # S7 is admitted, an order-8192 group is not
+
+
+# -- test-only references: the element-by-element Python constructions --------
+
+def _perm_mul(p, q):
+    return tuple(p[i] for i in q)
+
+
+def ref_group_from_generators(degree, gens):
+    """Breadth-first closure, then one product per table entry."""
+    ident = tuple(range(degree))
+    gens = [tuple(g) for g in gens]
+    elems, index, head = [ident], {ident: 0}, 0
+    while head < len(elems):
+        x = elems[head]
+        head += 1
+        for g in gens:
+            y = _perm_mul(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    mul = [[index[_perm_mul(a, b)] for b in elems] for a in elems]
+    return tuple(map(tuple, mul)), tuple(str(p) for p in elems)
+
+
+def ref_inverses(mul):
+    return tuple(row.index(0) for row in mul)
+
+
+def ref_generating_set(mul):
+    """Greedy generators, each subgroup closed pairwise."""
+    n, gens, known = len(mul), [], {0}
+    while len(known) < n:
+        g = min(x for x in range(n) if x not in known)
+        gens.append(g)
+        frontier = list(known | {g})
+        known.add(g)
+        queue = [g]
+        while queue:
+            x = queue.pop()
+            for y in frontier:
+                for z in (mul[x][y], mul[y][x]):
+                    if z not in known:
+                        known.add(z)
+                        frontier.append(z)
+                        queue.append(z)
+    return tuple(gens)
+
+
+def ref_direct_product(G, H):
+    n, m = G.order, H.order
+    return tuple(tuple(G.mul[a][c] * m + H.mul[b][d] for c in range(n) for d in range(m))
+                 for a in range(n) for b in range(m))
+
+
+def ref_semidirect_product(A, H, action):
+    n, m = A.order, H.order
+    return tuple(tuple(A.mul[a][action[h][a2]] * m + H.mul[h][h2]
+                       for a2 in range(n) for h2 in range(m))
+                 for a in range(n) for h in range(m))
+
+
+def ref_quotient_group(G, N):
+    proj, reps = [-1] * G.order, []
+    for g in range(G.order):
+        if proj[g] < 0:
+            for x in N.elements:
+                proj[G.mul[g][x]] = len(reps)
+            reps.append(g)
+    mul = tuple(tuple(proj[G.mul[a][b]] for b in reps) for a in reps)
+    return mul, tuple(proj)
+
+
+def ref_subgroup_closure(G, seed):
+    known, queue = {0, *seed}, list(seed)
+    while queue:
+        x = queue.pop()
+        for y in list(known):
+            for z in (G.mul[x][y], G.mul[y][x], G.inv[x]):
+                if z not in known:
+                    known.add(z)
+                    queue.append(z)
+    return tuple(sorted(known))
+
+
+# every zoo group of order at most 720: the battery and a few larger ones
+ZOO = sorted({(f, p) for _, f, p in _battery_entries(None)} | {
+    ("symmetric", (6,)), ("alternating", (6,)), ("gl2", (4,)), ("gl2", (5,)),
+    ("psl2", (4,)), ("heisenberg", (2, 3)), ("heisenberg", (1, 7)),
+    ("extraspecial2", (2, 1)), ("generalized_quaternion", (3, 8)),
+    ("generalized_dihedral", (3, 3)),
+    ("frobenius", (2, 2, 3)), ("heisenberg_odd_p3", (5,)), ("abelian", (3, 5, 7)),
+})
+
+
+@pytest.mark.parametrize("fam,params", ZOO, ids=[f"{f}{p}" for f, p in ZOO])
+def test_zoo_inverses_and_generating_sets_match_reference(fam, params):
+    G = build(fam, *params)
+    assert G.order <= 720
+    assert isinstance(G.table, np.ndarray) and G.table.dtype == np.int32
+    assert G.mul == tuple(map(tuple, G.table.tolist()))
+    assert G.inv == ref_inverses(G.mul)
+    assert G.generating_set() == ref_generating_set(G.mul)
+    gens = G.generating_set()
+    assert subgroup_closure(G, gens[:1]).elements == ref_subgroup_closure(G, gens[:1])
+
+
+def _zoo_gens(fam, n):
+    """Indices of the zoo's generators: the BFS numbers them 1, 2, ... in order."""
+    return range(1, 3) if fam == "symmetric" else range(1, n - 1)
+
+
+@pytest.mark.parametrize("fam,n", [
+    (f, n) for f in ("symmetric", "alternating") for n in range(3, 7)])
+def test_permutation_families_match_reference(fam, n):
+    G = build(fam, n)
+    mul, labels = ref_group_from_generators(n, [eval(G.labels[g]) for g in _zoo_gens(fam, n)])
+    assert G.mul == mul and G.labels == labels
+
+
+_PERMS = st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.permutations(range(d)), min_size=0, max_size=3).map(lambda gs: (d, gs)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_PERMS)
+def test_group_from_generators_matches_reference(case):
+    degree, gens = case
+    G = group_from_generators(degree, gens, labels_from_perms=True)
+    mul, labels = ref_group_from_generators(degree, gens)
+    assert G.mul == mul and G.labels == labels
+    assert G.inv == ref_inverses(mul)
+    assert G.generating_set() == ref_generating_set(mul)
+
+
+@pytest.mark.parametrize("left,right", [
+    (("cyclic", (4,)), ("symmetric", (3,))), (("symmetric", (3,)), ("cyclic", (4,))),
+    (("generalized_quaternion", (4,)), ("alternating", (4,))),
+    (("cyclic", (1,)), ("heisenberg", (1, 3))),
+])
+def test_direct_product_matches_reference(left, right):
+    G, H = build(*left[:1], *left[1]), build(*right[:1], *right[1])
+    assert direct_product(G, H).mul == ref_direct_product(G, H)
+
+
+def test_semidirect_product_and_quotient_match_reference():
+    A, C4 = cyclic(6), cyclic(4)
+    action = [tuple(range(6)), A.inv, tuple(range(6)), A.inv]
+    S = semidirect_product(A, C4, action)
+    assert S.mul == ref_semidirect_product(A, C4, action)
+    for seed in ([3 * 4 + 2], [4], [8, 1]):
+        N = subgroup_closure(S, seed)
+        if all(S.conj(g, x) in N.elements for g in range(S.order) for x in N.elements):
+            Q, proj = quotient_group(S, N)
+            assert (Q.mul, proj) == ref_quotient_group(S, N)
+    A = cyclic(7)
+    action = [tuple(range(7)), tuple(2 * x % 7 for x in range(7)),
+              tuple(4 * x % 7 for x in range(7))]
+    assert semidirect_product(A, cyclic(3), action).mul == ref_semidirect_product(
+        A, cyclic(3), action)

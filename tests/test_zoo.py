@@ -1,6 +1,15 @@
+import itertools
+
 import pytest
 
-from kronkit.groupcore import GroupError, conjugacy_data
+from kronkit.groupcore import (
+    DEFAULT_ORDER_CAP,
+    GroupError,
+    GroupTable,
+    conjugacy_data,
+    quotient_group,
+    subgroup_closure,
+)
 from kronkit.cli import _battery_entries
 from kronkit.zoo import FamilySpec, family_order, make_field, zoo_build
 
@@ -139,3 +148,89 @@ def test_gl2_labels_are_matrices():
 def test_zoo_build_rejects_unknown_family():
     with pytest.raises(GroupError):
         zoo_build(FamilySpec("nonsense", ()))
+
+
+def test_intermediate_tables_are_capped():
+    # ES32+ is D8 o D8 = (D8 x D8) / C2: the 64-element product is capped
+    assert zoo_build(FamilySpec("extraspecial2", (2, 0)), order_cap=64).order == 32
+    with pytest.raises(GroupError, match="too large"):
+        zoo_build(FamilySpec("extraspecial2", (2, 0)), order_cap=63)
+    # Q(C4) = (C4 x| C4) / C2: the 16-element semidirect product is capped
+    assert zoo_build(FamilySpec("generalized_quaternion", (4,)), order_cap=16).order == 8
+    with pytest.raises(GroupError, match="too large"):
+        zoo_build(FamilySpec("generalized_quaternion", (4,)), order_cap=15)
+
+
+def test_default_cap_admits_every_tested_order():
+    for _, family, params in _battery_entries(None):
+        assert family_order(FamilySpec(family, params)) <= DEFAULT_ORDER_CAP
+    for spec in (("gl2", (7,)), ("symmetric", (7,)), ("heisenberg", (1, 17))):
+        assert family_order(FamilySpec(*spec)) <= DEFAULT_ORDER_CAP
+    with pytest.raises(GroupError, match="order cap"):
+        zoo_build(FamilySpec("extraspecial2", (3, 3)))
+
+
+# -- test-only references: the element-by-element Python constructions --------
+
+def ref_gl2(q, det_one=False):
+    F = make_field(q)
+
+    def det(m):
+        a, b, c, d = m
+        return F.add[F.mul[a][d]][F.neg[F.mul[b][c]]]
+
+    mats = [m for m in itertools.product(range(q), repeat=4)
+            if (det(m) == 1 if det_one else det(m) != 0)]
+    mats.remove((1, 0, 0, 1))
+    mats.insert(0, (1, 0, 0, 1))
+    index = {m: i for i, m in enumerate(mats)}
+
+    def matmul(m1, m2):
+        a, b, c, d = m1
+        e, f, g, h = m2
+        return (F.add[F.mul[a][e]][F.mul[b][g]], F.add[F.mul[a][f]][F.mul[b][h]],
+                F.add[F.mul[c][e]][F.mul[d][g]], F.add[F.mul[c][f]][F.mul[d][h]])
+
+    mul = tuple(tuple(index[matmul(m1, m2)] for m2 in mats) for m1 in mats)
+    return mul, tuple(str(m) for m in mats)
+
+
+def ref_heisenberg(n, q):
+    F = make_field(q)
+    total = q ** (2 * n + 1)
+    elems = [[i // q**j % q for j in range(2 * n + 1)] for i in range(total)]
+    mul = []
+    for ea in elems:
+        row = []
+        for eb in elems:
+            dot = 0
+            for i in range(n):
+                dot = F.add[dot][F.mul[ea[i]][eb[n + i]]]
+            coords = [F.add[ea[i]][eb[i]] for i in range(2 * n)]
+            coords.append(F.add[F.add[ea[2 * n]][eb[2 * n]]][dot])
+            row.append(sum(c * q**j for j, c in enumerate(coords)))
+        mul.append(tuple(row))
+    return tuple(mul)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_gl2_matches_reference(q):
+    G = build("gl2", q)
+    assert (G.mul, G.labels) == ref_gl2(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_psl2_matches_reference(q):
+    mul, _ = ref_gl2(q, det_one=True)
+    S = GroupTable(mul)
+    if q % 2:  # PSL2 = SL2 / {I, -I}; -I is the unique central involution
+        z = next(x for x in range(1, S.order) if mul[x][x] == 0
+                 and all(mul[x][y] == mul[y][x] for y in range(S.order)))
+        mul = tuple(tuple(row) for row in
+                    quotient_group(S, subgroup_closure(S, [z]))[0].mul)
+    assert build("psl2", q).mul == mul
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (3, 2)])
+def test_heisenberg_matches_reference(n, q):
+    assert build("heisenberg", n, q).mul == ref_heisenberg(n, q)
