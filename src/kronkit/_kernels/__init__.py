@@ -1,12 +1,14 @@
-"""Orbit kernel: G acting on G^d by simultaneous conjugation, in numpy.
+"""Orbit kernel: the orbits of a group of permutations, in numpy.
 
-A d-tuple (x_1, ..., x_d) of elements of a group of order n has the tuple
-index t = x_1 n^(d-1) + ... + x_d, so index order is lexicographic order on
-tuples.  Each generator g of G acts on tuple indices as a permutation, built
-from its action x -> g x g^-1 on single elements.  The orbits are the
-connected components of the graph these permutations span, found by
-min-label propagation with pointer jumping (Shiloach and Vishkin,
-J. Algorithms 3 (1982) 57-67) as whole-array passes.
+The orbits are the connected components of the graph that the generating
+permutations span, found by min-label propagation with pointer jumping
+(Shiloach and Vishkin, J. Algorithms 3 (1982) 57-67) as whole-array passes.
+Conjugacy classes, simultaneous conjugacy and double cosets all run on it.
+
+For G acting on G^d by simultaneous conjugation, a d-tuple (x_1, ..., x_d)
+has the tuple index t = x_1 n^(d-1) + ... + x_d (n = |G|), so index order
+is lexicographic order on tuples.  Each generator g of G acts on tuple
+indices as a permutation, built from x -> g x g^-1 on single elements.
 """
 
 from __future__ import annotations
@@ -41,6 +43,34 @@ def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
         np.take(values, index[s:s + _SLICE], out=out[s:s + _SLICE], mode="clip")
 
 
+def orbit_roots(perms, size: int) -> np.ndarray:
+    """root[t] = least index in the orbit of t, for the group generated by
+    ``perms``: permutations of range(size) as index arrays, each generator's
+    inverse among them.  Holds 2 arrays of ``size`` indices besides ``perms``."""
+    # Invariants: label[t] <= t, and label[t] lies in the orbit of t.  A round
+    # pulls the least label along every generator edge in both directions,
+    # then jumps pointers until label[label] == label.  When no pull lowers a
+    # label, label[t] <= label[g.t] and label[g.t] <= label[t] for every
+    # generator g, so label is constant on each orbit; the orbit minimum o
+    # has label[o] <= o within the orbit, so label[o] = o is that constant.
+    label = np.arange(size, dtype=index_dtype(size))
+    pulled = np.empty_like(label)
+    changed = True
+    while changed:
+        changed = False
+        for m in perms:
+            _gather(label, m, pulled)
+            if (pulled < label).any():
+                np.minimum(label, pulled, out=label)
+                changed = True
+        while True:
+            _gather(label, label, pulled)
+            if np.array_equal(pulled, label):
+                break
+            label, pulled = pulled, label
+    return label
+
+
 def conjugation_orbit_roots(mul, inv, gens, n: int, d: int) -> np.ndarray:
     """Orbit roots for G acting on G^d by simultaneous conjugation.
 
@@ -59,26 +89,4 @@ def conjugation_orbit_roots(mul, inv, gens, n: int, d: int) -> np.ndarray:
         back = np.empty_like(conj)
         back[conj] = np.arange(n)
         maps += [tuple_map(conj, n, d, dtype), tuple_map(back, n, d, dtype)]
-
-    # Invariants: label[t] <= t, and label[t] lies in the orbit of t.  A round
-    # pulls the least label along every generator edge in both directions,
-    # then jumps pointers until label[label] == label.  When no pull lowers a
-    # label, label[t] <= label[g.t] and label[g.t] <= label[t] for every
-    # generator g, so label is constant on each orbit; the orbit minimum o
-    # has label[o] <= o within the orbit, so label[o] = o is that constant.
-    label = np.arange(size, dtype=dtype)
-    pulled = np.empty_like(label)
-    changed = True
-    while changed:
-        changed = False
-        for m in maps:
-            _gather(label, m, pulled)
-            if (pulled < label).any():
-                np.minimum(label, pulled, out=label)
-                changed = True
-        while True:
-            _gather(label, label, pulled)
-            if np.array_equal(pulled, label):
-                break
-            label, pulled = pulled, label
-    return label
+    return orbit_roots(maps, size)

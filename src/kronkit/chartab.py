@@ -108,25 +108,9 @@ class CharacterTable:
 def _dixon_prime(e: int, n: int) -> int:
     """Least prime p = 1 (mod e) with p > 2*sqrt(n)."""
     p = e + 1
-    while True:
-        if p * p > 4 * n and p > 2 and all(p % t for t in range(2, isqrt(p) + 1)):
-            return p
+    while not (p * p > 4 * n and p > 2 and modular._is_prime(p)):
         p += e
-
-
-def _primitive_root_of_unity(p: int, e: int) -> int:
-    """z of exact multiplicative order e in F_p (least generator powered)."""
-    def order(a: int) -> int:
-        x, k = a, 1
-        while x != 1:
-            x = x * a % p
-            k += 1
-        return k
-
-    for g in range(2, p):
-        if order(g) == p - 1:
-            return pow(g, (p - 1) // e, p)
-    raise AssertionError("no primitive root")
+    return p
 
 
 def _nullspace(mat, p: int):
@@ -194,17 +178,15 @@ def _class_matrices(G: GroupTable, cd: ConjugacyData):
     w_i = |class_i| chi(g_i) / chi(1).
     """
     k = cd.num_classes
-    members: list[list[int]] = [[] for _ in range(k)]
-    for x in range(G.order):
-        members[cd.class_of[x]].append(x)
+    class_of = np.array(cd.class_of)
+    inv = np.asarray(G.inv)
+    # column kk of the bincount index: entry (i, kk) is at i * k + kk
+    cols = np.arange(k)
     mats = []
     for j in range(k):
-        a = [[0] * k for _ in range(k)]
-        for x in members[j]:
-            xi = G.inv[x]
-            for kk, rep in enumerate(cd.reps):
-                a[cd.class_of[G.mul[xi][rep]]][kk] += 1
-        mats.append(a)
+        products = G.table[np.ix_(inv[class_of == j], cd.reps)]  # x^-1 rep_k
+        counts = np.bincount((class_of[products] * k + cols).ravel(), minlength=k * k)
+        mats.append(counts.reshape(k, k).tolist())
     return mats
 
 
@@ -259,20 +241,28 @@ def _split_eigenvectors(mats, p: int, k: int):
     return vectors
 
 
-def _lift_character(G, cd, chi_mod, degree, p, z, e):
-    """Exact cyclotomic values from mod-p values via eigenvalue multiplicities."""
-    k = cd.num_classes
+def _power_classes(G: GroupTable, cd: ConjugacyData) -> list[list[int]]:
+    """pcls[j][t] = class of rep_j^t, for 0 <= t < the order of rep_j."""
+    reps = np.array(cd.reps)
+    class_of = np.array(cd.class_of)
+    orders = G.orders[reps]
+    x = np.zeros_like(reps)
+    columns = []
+    for _ in range(int(orders.max())):
+        columns.append(class_of[x])
+        x = G.table[x, reps]
+    powers = np.stack(columns, axis=1)
+    return [row[:o] for row, o in zip(powers.tolist(), orders.tolist())]
+
+
+def _lift_character(pcls, chi_mod, degree, p, z, e):
+    """Exact cyclotomic values from mod-p values via eigenvalue multiplicities;
+    ``pcls`` are the power classes of ``_power_classes``."""
     basis = power_basis(e)
     phi = euler_phi(e)
     values = []
-    for j in range(k):
-        rep = cd.reps[j]
-        o = G.element_order(rep)
-        pcls = []
-        x = 0
-        for _ in range(o):
-            pcls.append(cd.class_of[x])
-            x = G.mul[x][rep]
+    for pc in pcls:
+        o = len(pc)
         zo = pow(z, e // o, p)
         zo_inv = pow(zo, p - 2, p)
         inv_o = pow(o, p - 2, p)
@@ -282,7 +272,7 @@ def _lift_character(G, cd, chi_mod, degree, p, z, e):
             w = pow(zo_inv, m, p)
             t_pow = 1
             for t in range(o):
-                acc = (acc + chi_mod[pcls[t]] * t_pow) % p
+                acc = (acc + chi_mod[pc[t]] * t_pow) % p
                 t_pow = t_pow * w % p
             c = acc * inv_o % p
             if c > degree:
@@ -341,9 +331,10 @@ def character_table(G: GroupTable) -> CharacterTable:
     e = G.exponent()
     n = G.order
     p = _dixon_prime(e, n)
-    z = _primitive_root_of_unity(p, e)
+    z = modular._root_of_unity(p, e)
     mats = _class_matrices(G, cd)
     vectors = _split_eigenvectors(mats, p, k)
+    pcls = _power_classes(G, cd)
 
     inv_sizes = [pow(s, p - 2, p) for s in cd.sizes]
     chars = []
@@ -356,7 +347,7 @@ def character_table(G: GroupTable) -> CharacterTable:
         if degree is None:
             raise VerificationError("degree recovery failed")
         chi_mod = [degree * w[j] % p * inv_sizes[j] % p for j in range(k)]
-        values = _lift_character(G, cd, chi_mod, degree, p, z, e)
+        values = _lift_character(pcls, chi_mod, degree, p, z, e)
         if values[0] != degree:
             raise VerificationError("lifted degree mismatch")
         chars.append(Character(degree=degree, values=tuple(values)))

@@ -113,13 +113,10 @@ def _verify_counts(T: CharacterTable, G: Optional[GroupTable], d: int,
         orbit = orbits.simultaneous_classes(G, d, orbit_cap=orbit_cap)
 
     rc = Record(name=prefix + f"conj_{d}")
-    total = sum(s * (T.order // s) ** d for s in T.sizes)
-    rc.values["burnside"] = total // T.order
     if kappa_ok:
-        cr = kron.conj_count(T, d)
-        if "kappa_sq" in cr.values:
-            rc.values["kappa_sq"] = cr.values["kappa_sq"]
-    elif d <= 3:
+        rc.values.update(kron.conj_count(T, d).values)
+    else:
+        rc.values["burnside"] = kron.burnside_count(T, d)
         rc.notes["kappa_sq"] = "skipped: cap"
     if orbit is not None:
         rc.values["orbit"] = orbit.orbit_count
@@ -158,7 +155,7 @@ def _verify_subgroup(T: CharacterTable, G: GroupTable, K: SubgroupSpec,
     hd.values["dim_sq"] = kron.hecke_dimension(T, K).values["dim_sq"]
     hd.values["double_cosets"] = len(dc.cosets)
     ge = Record(name=prefix + "gelfand_symmetric")
-    sym = orbits.gelfand_symmetric_check(G, K)
+    sym = dc.symmetric
     ge.values["coset"] = int(sym)
     # easy_gelfand_verify holds iff the coset answer matches the char side
     ge.values["char"] = int(sym == kron.easy_gelfand_verify(T, K, sym))

@@ -3,7 +3,7 @@
 Elements are dense indices 0..n-1 with the identity always at index 0.
 Constructors (closure, products, quotients) produce associative tables by
 design; tables from external sources go through :func:`validate_cayley`,
-which checks associativity exhaustively.
+which checks associativity by Light's test.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ from math import isqrt, lcm
 
 import numpy as np
 
+from . import _kernels
+
 # What one Cayley table may cost.  A group of order n is an n x n table of
-# int32 entries (4 bytes) plus the tuple view ``GroupTable.mul`` (8 bytes: a
-# pointer to one of n shared ints).  Building it peaks higher: measured in a
-# fresh process (ru_maxrss), S7 takes 12.8 bytes per entry, a direct product
-# 12, and a semidirect product or a Heisenberg group 16, the most.  So a
-# group is admitted while n^2 * TABLE_BYTES_PER_ENTRY fits TABLE_BUDGET_BYTES:
-# n <= 5792, which admits S7 (5040) and refuses 2^13.  Constructors that pass
+# int32 entries (4 bytes).  Building it peaks higher: measured in a fresh
+# process (ru_maxrss), S7 takes 12.8 bytes per entry, a direct product 8, and
+# a semidirect product or a Heisenberg group 16, the most; conjugacy classes
+# and the exponent add nothing measurable.  So a group is admitted while
+# n^2 * TABLE_BYTES_PER_ENTRY fits TABLE_BUDGET_BYTES: n <= 5792, which
+# admits S7 (5040) and refuses 2^13.  Constructors that pass
 # through a larger group (a central product's G x H, the A x| C4 behind a
 # generalized quaternion group) apply the same cap to it.
 TABLE_BYTES_PER_ENTRY = 16
@@ -35,8 +37,7 @@ class GroupError(ValueError):
 class GroupTable:
     """A finite group given by its full multiplication table.
 
-    ``table`` is the n x n int32 array of products; ``mul`` is the same table
-    as row tuples, for code that indexes it from Python loops.
+    ``table`` is the n x n int32 array of products: table[a, b] = a * b.
     """
 
     def __init__(self, mul, labels=None):
@@ -46,84 +47,72 @@ class GroupTable:
         table.flags.writeable = False
         self.table = table
         self.order = len(table)
-        self.id = 0
         # the first 0 of each row: entries are >= 0, so argmin finds it if any
         inv = table.argmin(axis=1)
         if (table[np.arange(self.order), inv] != 0).any():
             raise GroupError("missing inverse")
         self.inv = tuple(inv.tolist())
         self.labels = tuple(labels) if labels is not None else None
-        self._orders = None
         self._gens = None
-
-    @cached_property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        # every row refers to the same n int objects: 8 bytes per entry
-        ints = np.arange(self.order).astype(object)
-        return tuple(tuple(ints[row].tolist()) for row in self.table)
 
     # -- basic queries -----------------------------------------------------
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul[self.mul[g][x]][self.inv[g]]
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """Element orders: the least k >= 1 with x^k = 1, for every x."""
+        orders = np.zeros(self.order, dtype=np.int64)
+        active = np.arange(self.order)  # elements whose order is not known yet
+        power = active                  # x^k for each active x
+        k = 1
+        while active.size:
+            done = power == 0
+            orders[active[done]] = k
+            active, power = active[~done], power[~done]
+            power = self.table[power, active]
+            k += 1
+        return orders
 
     def element_order(self, x: int) -> int:
-        if self._orders is None:
-            orders = []
-            for y in range(self.order):
-                k, z = 1, y
-                while z != 0:
-                    z = self.mul[z][y]
-                    k += 1
-                orders.append(k)
-            self._orders = tuple(orders)
-        return self._orders[x]
+        return int(self.orders[x])
 
     def exponent(self) -> int:
-        return reduce(lcm, (self.element_order(x) for x in range(self.order)), 1)
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv[x], -k
-        out, base = 0, x
-        while k:
-            if k & 1:
-                out = self.mul[out][base]
-            base = self.mul[base][base]
-            k >>= 1
-        return out
+        return reduce(lcm, set(self.orders.tolist()), 1)
 
     def generating_set(self) -> tuple[int, ...]:
         """A small deterministic generating set: greedily, the least element
         outside the subgroup the generators so far generate."""
         if self._gens is None:
-            gens: list[int] = []
-            inside = np.zeros(self.order, dtype=bool)
-            inside[0] = True
-            while not inside.all():
-                gens.append(int(inside.argmin()))
-                _close(self.table, inside, gens)
-            self._gens = tuple(gens)
+            self._gens = greedy_generators(self, range(self.order))
         return self._gens
 
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
     def validate(self) -> "GroupTable":
-        """Exhaustive identity/inverse/associativity check (O(n^3))."""
+        """Identity and inverse checks, and Light's associativity test.
+
+        Light's test checks (x a) y = x (a y) for every x, y and every a in
+        ``generating_set()``: O(n^2 |gens|).  The a that pass are closed
+        under products, since (x (a b)) y = ((x a) b) y = (x a)(b y) =
+        x (a (b y)) = x ((a b) y); every element is a product of generators
+        (the closure in ``_close`` reaches it as ((g g') g'') ...), so every
+        a passes and the table is associative.
+        """
         m = self.table
-        ar = np.arange(self.order)
+        n = self.order
+        ar = np.arange(n)
         if not ((m[0] == ar).all() and (m[:, 0] == ar).all()):
             raise GroupError("no identity")
         if (m[ar, self.inv] != 0).any():
             raise GroupError("missing inverse")
-        for a in range(self.order):
-            left = m[m[a], :]          # (ab)c for all b, c
-            right = m[a][m]            # a(bc)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise GroupError(f"associativity violated at ({a},{b},{c})")
+        rows = max(1, 2**20 // n)  # compare blocks of about 2^20 entries
+        for a in self.generating_set():
+            for lo in range(0, n, rows):
+                left = m[m[lo:lo + rows, a]]       # (x a) y
+                right = m[lo:lo + rows][:, m[a]]   # x (a y)
+                if not np.array_equal(left, right):
+                    x, y = map(int, np.argwhere(left != right)[0])
+                    raise GroupError(f"associativity violated at ({lo + x},{a},{y})")
         return self
 
     def __repr__(self):
@@ -144,6 +133,19 @@ def _close(table: np.ndarray, inside: np.ndarray, gens) -> None:
         reached[table[np.ix_(frontier, cols)]] = True
         frontier = np.flatnonzero(reached & ~inside)
         inside |= reached
+
+
+def greedy_generators(G: GroupTable, elements) -> tuple[int, ...]:
+    """Generators of the subgroup with the sorted ``elements``: greedily, the
+    least element outside the subgroup the generators so far generate."""
+    gens: list[int] = []
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
+    outside = np.asarray(elements, dtype=np.intp)
+    while (outside := outside[~inside[outside]]).size:
+        gens.append(int(outside[0]))
+        _close(G.table, inside, gens)
+    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -258,41 +260,35 @@ def validate_cayley(table, labels=None) -> GroupTable:
 
 
 def conjugacy_data(G: GroupTable, powers=(2,)) -> ConjugacyData:
-    """Conjugacy classes by orbit expansion, plus inverse/power class maps."""
+    """Conjugacy classes from the orbit kernel at d = 1, plus inverse/power
+    class maps.  Classes are numbered by their least elements, the reps."""
     n = G.order
-    class_of = [-1] * n
-    reps, sizes = [], []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        c = len(reps)
-        orbit = [x]
-        class_of[x] = c
-        head = 0
-        while head < len(orbit):
-            y = orbit[head]
-            head += 1
-            for g in G.generating_set():
-                z = G.conj(g, y)
-                if class_of[z] < 0:
-                    class_of[z] = c
-                    orbit.append(z)
-        reps.append(x)
-        sizes.append(len(orbit))
-    k = len(reps)
-    inverse_class = tuple(class_of[G.inv[r]] for r in reps)
-    pw = set(powers) | {2}
-    power_class = {
-        int(p): tuple(class_of[G.power(r, p)] for r in reps) for p in pw
-    }
+    gens = list(G.generating_set()) or [0]
+    root = _kernels.conjugation_orbit_roots(G.table, G.inv, gens, n, 1)
+    reps = np.flatnonzero(root == np.arange(n))
+    class_of = np.searchsorted(reps, root)
+    sizes = np.bincount(class_of).tolist()
+    power_class = {p: tuple(class_of[_power(G.table, reps, p)].tolist())
+                   for p in map(int, set(powers) | {2})}
     return ConjugacyData(
-        class_of=tuple(class_of),
-        reps=tuple(reps),
+        class_of=tuple(class_of.tolist()),
+        reps=tuple(reps.tolist()),
         sizes=tuple(sizes),
         centralizer_orders=tuple(n // s for s in sizes),
-        inverse_class=inverse_class,
+        inverse_class=tuple(class_of[np.asarray(G.inv)[reps]].tolist()),
         power_class=power_class,
     )
+
+
+def _power(table: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
+    """x^k for every x in ``xs`` (k >= 0), by repeated squaring."""
+    out, base = np.zeros_like(xs), xs
+    while k:
+        if k & 1:
+            out = table[out, base]
+        base = table[base, base]
+        k >>= 1
+    return out
 
 
 def subgroup_closure(G: GroupTable, seed) -> SubgroupSpec:
@@ -381,8 +377,8 @@ def quotient_group(G: GroupTable, N: SubgroupSpec):
 
 def dump_group(G: GroupTable) -> str:
     lines = [f"order {G.order}"]
-    for row in G.mul:
-        lines.append(" ".join(str(v) for v in row))
+    name = list(map(str, range(G.order))).__getitem__
+    lines += [" ".join(map(name, row.tolist())) for row in G.table]
     if G.labels is not None:
         for lab in G.labels:
             lines.append(f"# label {lab}")

@@ -144,13 +144,18 @@ def _sigma_vector(T: CharacterTable) -> np.ndarray:
 
 # -- counting reports ----------------------------------------------------------
 
-def conj_count(T: CharacterTable, d: int) -> CountReport:
-    """|conj_d(G)| by Burnside's lemma and (for d <= 3) the kappa-square sum."""
-    rep = CountReport(quantity="conj_d", param=d)
+def burnside_count(T: CharacterTable, d: int) -> int:
+    """|conj_d(G)| by Burnside's lemma: (1/|G|) sum_c |C_c| |C_G(c)|^d."""
     total = sum(s * (T.order // s) ** d for s in T.sizes)
     if total % T.order:
         raise VerificationError("Burnside sum not integral")
-    rep.add("burnside", total // T.order)
+    return total // T.order
+
+
+def conj_count(T: CharacterTable, d: int) -> CountReport:
+    """|conj_d(G)| by Burnside's lemma and (for d <= 3) the kappa-square sum."""
+    rep = CountReport(quantity="conj_d", param=d)
+    rep.add("burnside", burnside_count(T, d))
     if d == 1:
         rep.add("kappa_sq", T.num_classes)
     elif d in (2, 3):

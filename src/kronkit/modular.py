@@ -52,7 +52,7 @@ coefficients or over k classes or irreps, so both stay at most 2^11.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -67,8 +67,23 @@ def residues(values, p: int) -> np.ndarray:
     return np.array([v % p for v in values], dtype=np.int64)
 
 
+# The least strong pseudoprime to all of the bases 2, 3, 5 and 7 (Pomerance,
+# Selfridge and Wagstaff, Math. Comp. 35 (1980) 1003-1026): Miller-Rabin with
+# these bases is exact below it, far above PRIME_CEILING.
+MR_EXACT_BELOW = 3_215_031_751
+_MR_BASES = (2, 3, 5, 7)
+
+
 def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % t for t in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin, exact for n < MR_EXACT_BELOW."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _MR_BASES:
+        squares = [pow(a, (n - 1) >> (s - r), n) for r in range(s)]  # a^d, a^2d, ...
+        if squares[0] != 1 and n - 1 not in squares:
+            return False
+    return True
 
 
 def _root_of_unity(p: int, e: int) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .groupcore import GroupError, GroupTable, SubgroupSpec, direct_product, is_subgroup
+from .groupcore import GroupError, GroupTable, SubgroupSpec, greedy_generators, is_subgroup
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -30,6 +30,11 @@ class DoubleCosetDecomposition:
     K: SubgroupSpec
     cosets: tuple[tuple[int, int], ...]  # (representative, size)
     self_inverse_count: int
+
+    @property
+    def symmetric(self) -> bool:
+        """True iff every double coset KgK equals Kg^-1 K."""
+        return self.self_inverse_count == len(self.cosets)
 
 
 def simultaneous_classes(G: GroupTable, d: int,
@@ -58,92 +63,49 @@ def simultaneous_classes(G: GroupTable, d: int,
     )
 
 
-def diagonal_subgroup(G: GroupTable, d: int, order_cap: int = DEFAULT_ORBIT_CAP):
-    """(G^(d+1), diagonal copy of G). Tiny instances only."""
-    n = G.order
-    if n ** (d + 1) > order_cap:
-        raise GroupError("group too large")
-    P = G
-    for _ in range(d):
-        P = direct_product(P, G, order_cap=order_cap)
-    # element (g, ..., g) has index g * (n^d + n^(d-1) + ... + 1)
-    weight = sum(n**i for i in range(d + 1))
-    elements = tuple(sorted(g * weight for g in range(n)))
-    return P, SubgroupSpec(elements=elements, order=n)
-
-
-def _require_subgroup(G: GroupTable, K: SubgroupSpec):
+def _coset_roots(G: GroupTable, K: SubgroupSpec, left: bool) -> np.ndarray:
+    """root[x] = least element of K x K (``left``) or of x K, from the orbit
+    kernel on multiplication by K's generators and their inverses."""
     if not is_subgroup(G, K):
         raise GroupError("not a subgroup")
+    t, inv = G.table, np.asarray(G.inv)
+    perms = []
+    for k in greedy_generators(G, K.elements):
+        perms += [t[:, k], t[:, inv[k]]]  # x -> x k, x k^-1
+        if left:
+            perms += [t[k], t[inv[k]]]    # x -> k x, k^-1 x
+    return _kernels.orbit_roots(perms, G.order)
 
 
 def double_cosets(G: GroupTable, K: SubgroupSpec) -> DoubleCosetDecomposition:
-    """K\\G/K by expanding K*x*K from the least unvisited x."""
-    _require_subgroup(G, K)
-    n = G.order
-    coset_of = [-1] * n
-    cosets = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        c = len(cosets)
-        coset_of[x] = c
-        members = [x]
-        head = 0
-        while head < len(members):
-            y = members[head]
-            head += 1
-            for k in K.elements:
-                for z in (G.mul[k][y], G.mul[y][k]):
-                    if coset_of[z] < 0:
-                        coset_of[z] = c
-                        members.append(z)
-        cosets.append((x, len(members)))
-    self_inverse = sum(1 for rep, _ in cosets if coset_of[G.inv[rep]] == coset_of[rep])
+    """K\\G/K, each double coset represented by its least element."""
+    root = _coset_roots(G, K, left=True)
+    reps = np.flatnonzero(root == np.arange(G.order))
+    sizes = np.bincount(root)[reps]
+    self_inverse = int((root[np.asarray(G.inv)[reps]] == reps).sum())
     return DoubleCosetDecomposition(
-        K=K, cosets=tuple(cosets), self_inverse_count=self_inverse
+        K=K, cosets=tuple(zip(reps.tolist(), sizes.tolist())),
+        self_inverse_count=self_inverse,
     )
 
 
-def left_coset_map(G: GroupTable, K: SubgroupSpec) -> tuple[list[int], list[int]]:
+def left_coset_map(G: GroupTable, K: SubgroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """(coset_of, coset_reps) for left cosets xK, reps in ascending order."""
-    _require_subgroup(G, K)
-    coset_of = [-1] * G.order
-    reps = []
-    for x in range(G.order):
-        if coset_of[x] >= 0:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for k in K.elements:
-            coset_of[G.mul[x][k]] = c
-    return coset_of, reps
+    root = _coset_roots(G, K, left=False)
+    reps = np.flatnonzero(root == np.arange(G.order))
+    return np.searchsorted(reps, root), reps
 
 
 def frame_pair_count(G: GroupTable, K: SubgroupSpec) -> int:
     """(1/|G|) * #{(Kx, g) : x g^2 in Kx}; integral by Frame's lemma."""
     coset_of, reps = left_coset_map(G, K)
-    count = 0
-    for x in reps:
-        cx = coset_of[x]
-        for g in range(G.order):
-            g2 = G.mul[g][g]
-            if coset_of[G.mul[x][g2]] == cx:
-                count += 1
+    squares = G.table.diagonal()
+    count = sum(int((coset_of[G.table[x, squares]] == coset_of[x]).sum()) for x in reps)
     if count % G.order:
         raise ArithmeticError("frame pair count not integral")  # bug trap
     return count // G.order
 
 
-def gelfand_symmetric_check(G: GroupTable, K: SubgroupSpec) -> bool:
-    """True iff every double coset KgK equals Kg^-1 K."""
-    dc = double_cosets(G, K)
-    return dc.self_inverse_count == len(dc.cosets)
-
-
 def square_root_counts(G: GroupTable) -> list[int]:
     """r(g) = #{x : x^2 = g}, by direct enumeration (oracle for Eq. checks)."""
-    r = [0] * G.order
-    for x in range(G.order):
-        r[G.mul[x][x]] += 1
-    return r
+    return np.bincount(G.table.diagonal(), minlength=G.order).tolist()

@@ -253,10 +253,10 @@ def generalized_quaternion(A: GroupTable,
     The semidirect product A x| C4 has twice the order of Q(A); ``order_cap``
     applies to it.
     """
-    order2 = [x for x in range(A.order) if x != 0 and A.mul[x][x] == 0]
+    order2 = np.flatnonzero(A.table.diagonal() == 0)[1:]  # [0] is the identity
     if len(order2) != 1:
         raise GroupError("no unique order-2 element")
-    z = order2[0]
+    z = int(order2[0])
     C4 = cyclic(4)
     ident = tuple(range(A.order))
     invp = _inversion_perm(A)
@@ -309,15 +309,12 @@ def central_product(G: GroupTable, H: GroupTable, zG: int, zH: int,
     return Q
 
 
-def _center(G: GroupTable) -> list[int]:
-    return np.flatnonzero((G.table == G.table.T).all(axis=1)).tolist()
-
-
 def _central_involution(G: GroupTable) -> int:
-    zs = [x for x in _center(G) if x != 0 and G.mul[x][x] == 0]
+    central = (G.table == G.table.T).all(axis=1)
+    zs = np.flatnonzero(central & (G.table.diagonal() == 0))[1:]  # [0] is the identity
     if len(zs) != 1:
         raise GroupError("center has no unique involution")
-    return zs[0]
+    return int(zs[0])
 
 
 def extraspecial2(a: int, b: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -372,11 +369,7 @@ def psl2(q: int) -> GroupTable:
     if neg1 == 1:  # characteristic 2: PSL2 = SL2
         return S
     # -I is the unique central involution of SL2 in odd characteristic
-    candidates = [x for x in _center(S) if x != 0 and S.mul[x][x] == 0]
-    if len(candidates) != 1:
-        raise GroupError("SL2 center not of order 2")
-    minus_i = candidates[0]
-    N = subgroup_closure(S, [minus_i])
+    N = subgroup_closure(S, [_central_involution(S)])
     Q, _ = quotient_group(S, N)
     return Q
 

@@ -1,10 +1,12 @@
 import re
 from importlib import resources
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronkit import modular
 from kronkit.chartab import (
     CharacterTable,
     TableError,
@@ -37,6 +39,22 @@ def test_golden_tables(name):
     T = table(family, *params)
     golden = resources.files("kronkit").joinpath(f"data/golden/{name}.tbl").read_text()
     assert dump_table(T) == golden
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_tables_do_not_depend_on_the_root_of_unity(name, monkeypatch):
+    # Irr(G) is Galois-stable and its rows are sorted, so every root of unity
+    # z^a (a a unit mod e) in place of z gives the same table; the class-sum
+    # engine takes z^a too, and stays exact
+    family, params = GOLDEN[name]
+    golden = resources.files("kronkit").joinpath(f"data/golden/{name}.tbl").read_text()
+    root = modular._root_of_unity
+    e = build(family, *params).exponent()
+    for a in range(2, e):
+        if gcd(a, e) == 1:
+            monkeypatch.setattr(modular, "_root_of_unity",
+                                lambda p, e, a=a: pow(root(p, e), a, p))
+            assert dump_table(character_table(build(family, *params))) == golden, a
 
 
 def test_trivial_and_cyclic():

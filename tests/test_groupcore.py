@@ -1,4 +1,7 @@
+import itertools
 import re
+from functools import reduce
+from math import lcm
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from kronkit.groupcore import (
 )
 from kronkit.zoo import cyclic, symmetric
 
-from conftest import build
+from conftest import build, rows
 
 
 def test_cyclic_basics():
@@ -106,7 +109,8 @@ def test_quotient_group():
     N = subgroup_closure(G, [4])
     Q, proj = quotient_group(G, N)
     assert Q.order == 4
-    assert all(proj[G.mul[a][b]] == Q.mul[proj[a]][proj[b]]
+    mul, qmul = rows(G), rows(Q)
+    assert all(proj[mul[a][b]] == qmul[proj[a]][proj[b]]
                for a in range(12) for b in range(12))
     S3 = symmetric(3)
     with pytest.raises(GroupError):
@@ -127,7 +131,17 @@ def test_validate_cayley_relocates_identity():
     # C3 written with the identity at index 2
     table = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
     G = validate_cayley(table)
-    assert G.mul[0][1] == 1 and G.mul[1][0] == 1
+    assert G.table[0, 1] == 1 and G.table[1, 0] == 1
+
+
+# a non-associative loop: identity row and column, an inverse in each row
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
 
 def test_validate_cayley_rejects_broken_tables():
@@ -137,22 +151,16 @@ def test_validate_cayley_rejects_broken_tables():
         validate_cayley([[1, 0], [1, 0]])  # no identity
     # associativity failure with a valid identity row/column
     with pytest.raises(GroupError):
-        validate_cayley([
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ])
+        validate_cayley(LOOP5)
 
 
 def test_dump_load_round_trip():
     G = build("generalized_quaternion", 4)
     H = load_group(dump_group(G))
-    assert H.mul == G.mul
+    assert rows(H) == rows(G)
     S = symmetric(3)  # has labels
     H = load_group(dump_group(S))
-    assert H.mul == S.mul and H.labels == S.labels
+    assert rows(H) == rows(S) and H.labels == S.labels
 
 
 def test_load_rejects_garbage():
@@ -254,34 +262,38 @@ def ref_generating_set(mul):
 
 def ref_direct_product(G, H):
     n, m = G.order, H.order
-    return tuple(tuple(G.mul[a][c] * m + H.mul[b][d] for c in range(n) for d in range(m))
+    gmul, hmul = rows(G), rows(H)
+    return tuple(tuple(gmul[a][c] * m + hmul[b][d] for c in range(n) for d in range(m))
                  for a in range(n) for b in range(m))
 
 
 def ref_semidirect_product(A, H, action):
     n, m = A.order, H.order
-    return tuple(tuple(A.mul[a][action[h][a2]] * m + H.mul[h][h2]
+    amul, hmul = rows(A), rows(H)
+    return tuple(tuple(amul[a][action[h][a2]] * m + hmul[h][h2]
                        for a2 in range(n) for h2 in range(m))
                  for a in range(n) for h in range(m))
 
 
 def ref_quotient_group(G, N):
+    gmul = rows(G)
     proj, reps = [-1] * G.order, []
     for g in range(G.order):
         if proj[g] < 0:
             for x in N.elements:
-                proj[G.mul[g][x]] = len(reps)
+                proj[gmul[g][x]] = len(reps)
             reps.append(g)
-    mul = tuple(tuple(proj[G.mul[a][b]] for b in reps) for a in reps)
+    mul = tuple(tuple(proj[gmul[a][b]] for b in reps) for a in reps)
     return mul, tuple(proj)
 
 
 def ref_subgroup_closure(G, seed):
+    mul = rows(G)
     known, queue = {0, *seed}, list(seed)
     while queue:
         x = queue.pop()
         for y in list(known):
-            for z in (G.mul[x][y], G.mul[y][x], G.inv[x]):
+            for z in (mul[x][y], mul[y][x], G.inv[x]):
                 if z not in known:
                     known.add(z)
                     queue.append(z)
@@ -303,9 +315,9 @@ def test_zoo_inverses_and_generating_sets_match_reference(fam, params):
     G = build(fam, *params)
     assert G.order <= 720
     assert isinstance(G.table, np.ndarray) and G.table.dtype == np.int32
-    assert G.mul == tuple(map(tuple, G.table.tolist()))
-    assert G.inv == ref_inverses(G.mul)
-    assert G.generating_set() == ref_generating_set(G.mul)
+    mul = rows(G)
+    assert G.inv == ref_inverses(mul)
+    assert G.generating_set() == ref_generating_set(mul)
     gens = G.generating_set()
     assert subgroup_closure(G, gens[:1]).elements == ref_subgroup_closure(G, gens[:1])
 
@@ -320,7 +332,7 @@ def _zoo_gens(fam, n):
 def test_permutation_families_match_reference(fam, n):
     G = build(fam, n)
     mul, labels = ref_group_from_generators(n, [eval(G.labels[g]) for g in _zoo_gens(fam, n)])
-    assert G.mul == mul and G.labels == labels
+    assert rows(G) == mul and G.labels == labels
 
 
 _PERMS = st.integers(1, 6).flatmap(lambda d: st.lists(
@@ -333,7 +345,7 @@ def test_group_from_generators_matches_reference(case):
     degree, gens = case
     G = group_from_generators(degree, gens, labels_from_perms=True)
     mul, labels = ref_group_from_generators(degree, gens)
-    assert G.mul == mul and G.labels == labels
+    assert rows(G) == mul and G.labels == labels
     assert G.inv == ref_inverses(mul)
     assert G.generating_set() == ref_generating_set(mul)
 
@@ -345,21 +357,143 @@ def test_group_from_generators_matches_reference(case):
 ])
 def test_direct_product_matches_reference(left, right):
     G, H = build(*left[:1], *left[1]), build(*right[:1], *right[1])
-    assert direct_product(G, H).mul == ref_direct_product(G, H)
+    assert rows(direct_product(G, H)) == ref_direct_product(G, H)
 
 
 def test_semidirect_product_and_quotient_match_reference():
     A, C4 = cyclic(6), cyclic(4)
     action = [tuple(range(6)), A.inv, tuple(range(6)), A.inv]
     S = semidirect_product(A, C4, action)
-    assert S.mul == ref_semidirect_product(A, C4, action)
+    mul = rows(S)
+    assert mul == ref_semidirect_product(A, C4, action)
     for seed in ([3 * 4 + 2], [4], [8, 1]):
         N = subgroup_closure(S, seed)
-        if all(S.conj(g, x) in N.elements for g in range(S.order) for x in N.elements):
+        if all(mul[mul[g][x]][S.inv[g]] in N.elements
+               for g in range(S.order) for x in N.elements):
             Q, proj = quotient_group(S, N)
-            assert (Q.mul, proj) == ref_quotient_group(S, N)
+            assert (rows(Q), proj) == ref_quotient_group(S, N)
     A = cyclic(7)
     action = [tuple(range(7)), tuple(2 * x % 7 for x in range(7)),
               tuple(4 * x % 7 for x in range(7))]
-    assert semidirect_product(A, cyclic(3), action).mul == ref_semidirect_product(
+    assert rows(semidirect_product(A, cyclic(3), action)) == ref_semidirect_product(
         A, cyclic(3), action)
+
+
+# -- test-only references: conjugacy classes by orbit expansion ----------------
+
+def ref_element_orders(G):
+    t, orders = G.table, []
+    for x in range(G.order):
+        k, z = 1, x
+        while z != 0:
+            z = int(t[z, x])
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def ref_power(G, x, k):
+    t, out, base = G.table, 0, x
+    while k:
+        if k & 1:
+            out = int(t[out, base])
+        base = int(t[base, base])
+        k >>= 1
+    return out
+
+
+def ref_conjugacy_data(G, powers):
+    """Breadth-first orbit expansion under conjugation by the generators,
+    classes numbered in order of their least elements."""
+    t, inv, n = G.table, G.inv, G.order
+    class_of, reps, sizes = [-1] * n, [], []
+    for x in range(n):
+        if class_of[x] >= 0:
+            continue
+        c = len(reps)
+        orbit = [x]
+        class_of[x] = c
+        head = 0
+        while head < len(orbit):
+            y = orbit[head]
+            head += 1
+            for g in G.generating_set():
+                z = int(t[t[g, y], inv[g]])
+                if class_of[z] < 0:
+                    class_of[z] = c
+                    orbit.append(z)
+        reps.append(x)
+        sizes.append(len(orbit))
+    inverse_class = tuple(class_of[inv[r]] for r in reps)
+    power_class = {p: tuple(class_of[ref_power(G, r, p)] for r in reps) for p in powers}
+    return tuple(class_of), tuple(reps), tuple(sizes), inverse_class, power_class
+
+
+_CONJ_GROUPS = sorted({(f, p) for _, f, p in _battery_entries(None)} | {
+    ("symmetric", (6,)), ("symmetric", (7,)), ("gl2", (7,))})
+
+
+@pytest.mark.parametrize("fam,params", _CONJ_GROUPS, ids=[f"{f}{p}" for f, p in _CONJ_GROUPS])
+def test_conjugacy_data_matches_orbit_expansion(fam, params):
+    G = build(fam, *params)
+    cd = conjugacy_data(G, powers=(2, 3, 5))
+    class_of, reps, sizes, inverse_class, power_class = ref_conjugacy_data(G, (2, 3, 5))
+    assert cd.class_of == class_of and cd.reps == reps and cd.sizes == sizes
+    assert cd.inverse_class == inverse_class and cd.power_class == power_class
+    orders = ref_element_orders(G)
+    assert G.orders.tolist() == orders
+    assert G.exponent() == reduce(lcm, orders)
+
+
+# -- Light's associativity test against the exhaustive check -------------------
+
+def ref_associativity_violation(mul):
+    """The least (a, b, c) with (ab)c != a(bc), or None: O(n^3)."""
+    n = len(mul)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return a, b, c
+    return None
+
+
+def test_light_test_rejects_every_non_associative_table():
+    # LOOP5 x C2: the first generator (1, c) is the middle of no violating
+    # triple, so only a later generator shows the failure
+    product = direct_product(GroupTable(LOOP5), cyclic(2))
+    mul = rows(product)
+    a = product.generating_set()[0]
+    assert not any(mul[mul[x][a]][y] != mul[x][mul[a][y]]
+                   for x in range(10) for y in range(10))
+    cases = [product]
+    # every one-entry change of S3 that keeps the identity row and column and
+    # an inverse in each row; it breaks the Latin square, so no change is a
+    # group, and none is associative
+    base = [list(r) for r in rows(symmetric(3))]
+    for x, y, v in itertools.product(range(1, 6), range(1, 6), range(6)):
+        mul = [r[:] for r in base]
+        mul[x][y] = v
+        if v != base[x][y] and 0 in mul[x]:
+            cases.append(GroupTable(mul))
+    for G in cases:
+        assert ref_associativity_violation(rows(G)) is not None
+        with pytest.raises(GroupError, match="associativity"):
+            G.validate()
+    for fam, params in ZOO[:20]:
+        G = build(fam, *params)
+        if G.order <= 60:
+            assert ref_associativity_violation(rows(G)) is None
+            G.validate()
+
+
+def test_light_test_checks_every_row_block():
+    # order 1500: blocks of 699 rows; the only violations have x in the last
+    n = 1500
+    table = cyclic(n).table.copy()
+    table[n - 1, 2] = 7  # was 1
+    G = GroupTable(table)
+    assert G.generating_set() == (1,)
+    with pytest.raises(GroupError, match=rf"associativity violated at \({n - 2},1,2\)"):
+        G.validate()
+    cyclic(n).validate()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kronkit import _kernels
 
-from conftest import build
+from conftest import build, rows
 
 CASES = [
     ("symmetric", (4,), 2),
@@ -54,7 +54,7 @@ def bfs_orbit_roots(mul, inv, gens, n, d):
 
 
 def _args(G, d):
-    return G.mul, G.inv, list(G.generating_set()) or [0], G.order, d
+    return rows(G), G.inv, list(G.generating_set()) or [0], G.order, d
 
 
 def _assert_matches_bfs(G, d):
@@ -94,3 +94,11 @@ def test_tuple_map_is_coordinatewise():
     for x in range(3):
         for y in range(3):
             assert m[3 * x + y] == 3 * perm[x] + perm[y]
+
+
+def test_orbit_roots_of_permutations():
+    # the cycles (0 3) and (1 4 2) on range(6), each with its inverse
+    perms = [np.array([3, 1, 2, 0, 4, 5]), np.array([0, 4, 1, 3, 2, 5]),
+             np.array([0, 2, 4, 3, 1, 5])]
+    assert _kernels.orbit_roots(perms, 6).tolist() == [0, 1, 1, 0, 1, 5]
+    assert _kernels.orbit_roots([], 4).tolist() == [0, 1, 2, 3]

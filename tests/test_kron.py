@@ -6,15 +6,9 @@ import pytest
 from kronkit import kron
 from kronkit.chartab import VerificationError, dump_table, fs_indicators, load_table
 from kronkit.groupcore import subgroup_closure
-from kronkit.orbits import (
-    diagonal_subgroup,
-    double_cosets,
-    frame_pair_count,
-    gelfand_symmetric_check,
-    simultaneous_classes,
-)
+from kronkit.orbits import double_cosets, frame_pair_count, simultaneous_classes
 
-from conftest import build, table
+from conftest import build, diagonal_subgroup, table
 
 
 def test_kronecker_s3():
@@ -159,8 +153,7 @@ def test_frame_verify_and_hecke():
     assert kron.frame_verify(T, K).values["sigma_dim"] == dc.self_inverse_count
     assert kron.frame_verify(T, K).values["sigma_dim"] == frame_pair_count(G, K)
     assert kron.hecke_dimension(T, K).values["dim_sq"] == len(dc.cosets)
-    sym = gelfand_symmetric_check(G, K)
-    assert kron.easy_gelfand_verify(T, K, sym)
+    assert kron.easy_gelfand_verify(T, K, dc.symmetric)
 
 
 def test_gelfand_diagonal_pair():
@@ -169,7 +162,7 @@ def test_gelfand_diagonal_pair():
     from kronkit.chartab import character_table
 
     TP = character_table(P)
-    sym = gelfand_symmetric_check(P, Delta)
+    sym = double_cosets(P, Delta).symmetric
     assert sym
     assert kron.easy_gelfand_verify(TP, Delta, sym)
 

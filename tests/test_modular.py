@@ -1,5 +1,7 @@
 """The modular class-sum engine against exact Cyclotomic arithmetic."""
 
+from math import isqrt
+
 import numpy as np
 
 from kronkit import kron, modular
@@ -96,3 +98,26 @@ def test_kronecker_far_beyond_int64():
     want = sum(s * T.value(v, c).to_rational() ** 48 for c, s in enumerate(T.sizes)) / T.order
     assert kron.kronecker(T, (v,) * 48).value == want > 2**63
     assert len(modular.images(T).primes) == 5
+
+
+def _trial_division(n):
+    return n > 1 and all(n % t for t in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if modular._is_prime(n)] == [
+        n for n in range(20_000) if _trial_division(n)]
+    top = range(modular.PRIME_CEILING - 20_000, modular.PRIME_CEILING)
+    assert [n for n in top if modular._is_prime(n)] == [n for n in top if _trial_division(n)]
+
+
+def test_miller_rabin_exactness_edge():
+    # the bound is the least strong pseudoprime to bases 2, 3, 5, 7: composite,
+    # yet it passes every base, so the test is exact below it and no further
+    n = modular.MR_EXACT_BELOW
+    assert n == 151 * 751 * 28351
+    assert modular._is_prime(n)
+    assert modular.PRIME_CEILING < n
+    # the least strong pseudoprimes to bases 2; 2, 3; and 2, 3, 5 are caught
+    for n in (2047, 1_373_653, 25_326_001):
+        assert not modular._is_prime(n)

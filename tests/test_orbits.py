@@ -1,18 +1,17 @@
 import pytest
 
 from kronkit.groupcore import GroupError, SubgroupSpec, conjugacy_data, subgroup_closure
+from kronkit.cli import _battery_entries
 from kronkit.orbits import (
-    diagonal_subgroup,
     double_cosets,
     frame_pair_count,
-    gelfand_symmetric_check,
     left_coset_map,
     simultaneous_classes,
     square_root_counts,
 )
 from kronkit.zoo import cyclic, symmetric
 
-from conftest import build
+from conftest import build, diagonal_subgroup, rows
 
 TINY = [
     ("cyclic", (1,)),
@@ -69,7 +68,8 @@ def test_double_cosets_whole_group_and_trivial():
     triv = SubgroupSpec(elements=(0,), order=1)
     dc = double_cosets(G, triv)
     assert len(dc.cosets) == 8
-    assert dc.self_inverse_count == sum(1 for g in range(8) if G.mul[g][g] == 0)
+    mul = rows(G)
+    assert dc.self_inverse_count == sum(1 for g in range(8) if mul[g][g] == 0)
 
 
 def test_double_cosets_requires_subgroup():
@@ -83,7 +83,8 @@ def test_frame_pair_count_trivial_cases():
     whole = SubgroupSpec(elements=tuple(range(6)), order=6)
     assert frame_pair_count(G, whole) == 1
     triv = SubgroupSpec(elements=(0,), order=1)
-    assert frame_pair_count(G, triv) == sum(1 for g in range(6) if G.mul[g][g] == 0)
+    mul = rows(G)
+    assert frame_pair_count(G, triv) == sum(1 for g in range(6) if mul[g][g] == 0)
 
 
 def test_frame_equals_self_inverse_count():
@@ -111,12 +112,12 @@ def test_left_coset_map_partitions():
 def test_gelfand_symmetric_check():
     S3 = symmetric(3)
     P, Delta = diagonal_subgroup(S3, 1)
-    assert gelfand_symmetric_check(P, Delta)
+    assert double_cosets(P, Delta).symmetric
     C4 = cyclic(4)
     triv = SubgroupSpec(elements=(0,), order=1)
-    assert not gelfand_symmetric_check(C4, triv)
+    assert not double_cosets(C4, triv).symmetric
     whole = SubgroupSpec(elements=tuple(range(4)), order=4)
-    assert gelfand_symmetric_check(C4, whole)
+    assert double_cosets(C4, whole).symmetric
 
 
 def test_square_root_counts():
@@ -132,3 +133,74 @@ def test_real_iff_all_orbits_real():
     assert real.real_orbit_count == real.orbit_count
     complexish = simultaneous_classes(build("cyclic", 3), 1)
     assert complexish.real_orbit_count == 1
+
+
+# -- test-only references: cosets by breadth-first expansion ------------------
+
+def ref_double_cosets(G, K):
+    """K\\G/K by expanding K*x*K from the least unvisited x."""
+    mul = rows(G)
+    coset_of = [-1] * G.order
+    cosets = []
+    for x in range(G.order):
+        if coset_of[x] >= 0:
+            continue
+        c = len(cosets)
+        coset_of[x] = c
+        members = [x]
+        head = 0
+        while head < len(members):
+            y = members[head]
+            head += 1
+            for k in K.elements:
+                for z in (mul[k][y], mul[y][k]):
+                    if coset_of[z] < 0:
+                        coset_of[z] = c
+                        members.append(z)
+        cosets.append((x, len(members)))
+    self_inverse = sum(1 for rep, _ in cosets if coset_of[G.inv[rep]] == coset_of[rep])
+    return tuple(cosets), self_inverse
+
+
+def ref_left_coset_map(G, K):
+    mul = rows(G)
+    coset_of = [-1] * G.order
+    reps = []
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            for k in K.elements:
+                coset_of[mul[x][k]] = len(reps)
+            reps.append(x)
+    return coset_of, reps
+
+
+def ref_frame_pair_count(G, K):
+    mul = rows(G)
+    coset_of, reps = ref_left_coset_map(G, K)
+    count = sum(1 for x in reps for g in range(G.order)
+                if coset_of[mul[x][mul[g][g]]] == coset_of[x])
+    return count // G.order
+
+
+def _subgroups(G):
+    """Trivial, cyclic, two-generated and whole subgroups, by closure."""
+    n, gens = G.order, G.generating_set()
+    seeds = [[], [1 % n], [n - 1], [n // 2, n // 3], list(gens[:1]), list(gens)]
+    return [subgroup_closure(G, s) for s in seeds]
+
+
+_COSET_GROUPS = sorted({(f, p) for _, f, p in _battery_entries(None)})
+
+
+@pytest.mark.parametrize("fam,params", _COSET_GROUPS, ids=[f"{f}{p}" for f, p in _COSET_GROUPS])
+def test_cosets_match_expansion(fam, params):
+    G = build(fam, *params)
+    for K in _subgroups(G):
+        dc = double_cosets(G, K)
+        assert (dc.cosets, dc.self_inverse_count) == ref_double_cosets(G, K)
+        coset_of, reps = left_coset_map(G, K)
+        assert (coset_of.tolist(), reps.tolist()) == ref_left_coset_map(G, K)
+        assert frame_pair_count(G, K) == ref_frame_pair_count(G, K)
+    mul = rows(G)
+    assert square_root_counts(G) == [sum(1 for x in range(G.order) if mul[x][x] == g)
+                                     for g in range(G.order)]
