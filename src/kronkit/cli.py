@@ -20,8 +20,7 @@ from importlib import resources
 from typing import Optional
 
 from . import __version__, kron, orbits, zoo
-from .chartab import CharacterTable, character_table, dump_table, fs_indicators, load_table
-from .cyclo import euler_phi
+from .chartab import CharacterTable, character_table, dump_table, load_table
 from .groupcore import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -31,23 +30,9 @@ from .groupcore import (
     load_group,
     subgroup_closure,
 )
+from .kron import DEFAULT_KAPPA_CAP, SKIPPED, Record
 from .orbits import DEFAULT_ORBIT_CAP
 from .zoo import FamilySpec, zoo_build
-
-DEFAULT_KAPPA_CAP = 10**8  # work bound for kappa tensors on imported tables
-
-
-@dataclass
-class Record:
-    name: str
-    values: dict[str, int] = field(default_factory=dict)
-    notes: dict[str, str] = field(default_factory=dict)
-    witness: Optional[str] = None
-
-    @property
-    def agree(self) -> bool:
-        vals = list(self.values.values())
-        return all(v == vals[0] for v in vals)
 
 
 @dataclass
@@ -97,117 +82,53 @@ def _subgroup_from_args(G: GroupTable, args) -> Optional[SubgroupSpec]:
     return subgroup_closure(G, gens)
 
 
-def _kappa_work(T: CharacterTable) -> int:
-    k = T.num_classes
-    return k * k * k * max(1, euler_phi(T.exponent)) ** 2
-
-
 # -- verification records -------------------------------------------------------
+#
+# kron builds each character-side record; these add the group-side oracle
+# values to it, or a skipped-cap note when the oracle is over --orbit-cap.
+
+def _prefixed(records: list[Record], prefix: str) -> list[Record]:
+    for r in records:
+        r.name = prefix + r.name
+    return records
+
 
 def _verify_counts(T: CharacterTable, G: Optional[GroupTable], d: int,
                    orbit_cap: int, kappa_cap: int, prefix: str = "") -> list[Record]:
-    recs = []
-    kappa_ok = d > 3 or _kappa_work(T) <= kappa_cap
-    orbit = None
+    conj = kron.conj_count(T, d, kappa_cap)
+    rconj = kron.rconj_count(T, d, kappa_cap)
     if G is not None and G.order**d <= orbit_cap:
         orbit = orbits.simultaneous_classes(G, d, orbit_cap=orbit_cap)
-
-    rc = Record(name=prefix + f"conj_{d}")
-    if kappa_ok:
-        rc.values.update(kron.conj_count(T, d).values)
-    else:
-        rc.values["burnside"] = kron.burnside_count(T, d)
-        rc.notes["kappa_sq"] = "skipped: cap"
-    if orbit is not None:
-        rc.values["orbit"] = orbit.orbit_count
+        conj.values["orbit"] = orbit.orbit_count
+        rconj.values["orbit"] = orbit.real_orbit_count
     elif G is not None:
-        rc.notes["orbit"] = "skipped: cap"
-    recs.append(rc)
-
-    rr = Record(name=prefix + f"rconj_{d}")
-    fsrep = kron.rconj_count(T, d) if kappa_ok else None
-    if fsrep is None:
-        # the moment formula alone is cheap even when kappa tensors are not
-        fs = fs_indicators(T)
-        total = sum(s * r ** (d + 1) for s, r in zip(T.sizes, fs.r))
-        rr.values["r_moment"] = total // T.order
-        rr.notes["sigma_weighted"] = "skipped: cap"
-    else:
-        rr.values["r_moment"] = fsrep.values["r_moment"]
-        if "sigma_weighted" in fsrep.values:
-            rr.values["sigma_weighted"] = fsrep.values["sigma_weighted"]
-    if orbit is not None:
-        rr.values["orbit"] = orbit.real_orbit_count
-    elif G is not None:
-        rr.notes["orbit"] = "skipped: cap"
-    recs.append(rr)
-    return recs
+        conj.notes["orbit"] = rconj.notes["orbit"] = SKIPPED
+    return _prefixed([conj, rconj], prefix)
 
 
-def _verify_subgroup(T: CharacterTable, G: GroupTable, K: SubgroupSpec,
-                     prefix: str = "") -> list[Record]:
+def _verify_subgroup(T: CharacterTable, G: GroupTable, K: SubgroupSpec) -> list[Record]:
     dc = orbits.double_cosets(G, K)
-    fr = Record(name=prefix + "frame")
-    fr.values["sigma_dim"] = kron.frame_verify(T, K).values["sigma_dim"]
-    fr.values["self_inverse"] = dc.self_inverse_count
-    fr.values["pair_count"] = orbits.frame_pair_count(G, K)
-    hd = Record(name=prefix + "hecke_dim")
-    hd.values["dim_sq"] = kron.hecke_dimension(T, K).values["dim_sq"]
-    hd.values["double_cosets"] = len(dc.cosets)
-    ge = Record(name=prefix + "gelfand_symmetric")
-    sym = dc.symmetric
-    ge.values["coset"] = int(sym)
-    # easy_gelfand_verify holds iff the coset answer matches the char side
-    ge.values["char"] = int(sym == kron.easy_gelfand_verify(T, K, sym))
-    return [fr, hd, ge]
+    frame = kron.frame_verify(T, K)
+    frame.values["self_inverse"] = dc.self_inverse_count
+    frame.values["pair_count"] = orbits.frame_pair_count(G, K)
+    hecke = kron.hecke_dimension(T, K)
+    hecke.values["double_cosets"] = len(dc.cosets)
+    gelfand = kron.gelfand_symmetric(T, K)
+    gelfand.values = {"coset": int(dc.symmetric), **gelfand.values}  # reports list it first
+    return [frame, hecke, gelfand]
 
 
 def _classify_records(T: CharacterTable, G: Optional[GroupTable],
                       orbit_cap: int, kappa_cap: int, prefix: str = "") -> list[Record]:
-    recs = []
-    kappa_ok = _kappa_work(T) <= kappa_cap
-    if not kappa_ok:
-        r = Record(name=prefix + "classify")
-        r.notes["all"] = "skipped: cap"
-        return [r]
-    cls = kron.classify(T)
-
-    r = Record(name=prefix + "real")
-    r.values["char"] = int(cls.real)
-    if T.classes is not None:
-        r.values["class_inverse"] = int(
-            all(T.classes.inverse_class[c] == c for c in range(T.num_classes))
-        )
-    recs.append(r)
-
-    for d in (2, 3):
-        r = Record(name=prefix + f"mftp_{d}")
-        ok, wit = kron.is_mftp(T, d)
-        r.values["char"] = int(ok)
-        if wit is not None:
-            r.witness = "kappa" + str(wit.irreps) + "=" + str(wit.value)
-        recs.append(r)
-
-    r = Record(name=prefix + "doubly_real")
-    ok, wit = kron.is_d_real_char(T, 2)
-    r.values["char"] = int(ok)
-    if wit is not None:
-        r.witness = "kappa" + str(wit.irreps) + "=" + str(wit.value)
-    if G is not None and G.order**2 <= orbit_cap:
-        op = orbits.simultaneous_classes(G, 2, orbit_cap=orbit_cap)
-        r.values["orbit"] = int(op.real_orbit_count == op.orbit_count)
-    elif G is not None:
-        r.notes["orbit"] = "skipped: cap"
-    recs.append(r)
-
+    records = kron.classify(T, kappa_cap)
     if G is not None:
-        prof = kron.combinatorial_profile(T)
-        if prof.matched:
-            p = Record(name=prefix + "combinatorial_profile")
-            p.values["matched"] = 1
-            p.witness = f"(z,a,q)=({prof.z},{prof.a},{prof.q})"
-            recs.append(p)
-    return recs
+        doubly = next(r for r in records if r.name == "doubly_real")
+        if G.order**2 <= orbit_cap:
+            op = orbits.simultaneous_classes(G, 2, orbit_cap=orbit_cap)
+            doubly.values["orbit"] = int(op.real_orbit_count == op.orbit_count)
+        else:
+            doubly.notes["orbit"] = SKIPPED
+    return _prefixed(records, prefix)
 
 
 # -- commands -------------------------------------------------------------------
@@ -240,22 +161,27 @@ def cmd_kron(args) -> Report:
         rep.records.append(
             Record(name="kappa" + str(res.irreps), values={"kappa": res.value})
         )
-    else:
-        for d in ds:
-            # sum of squares = |conj_d(G)|, which Burnside's lemma also counts
-            cr = kron.conj_count(T, d)
-            rep.records.append(Record(name=f"kappa_tensor_{d}", values={
-                "sum_sq": cr.values["kappa_sq"], "burnside": cr.values["burnside"]}))
-            t = kron.kappa_tensor3(T) if d == 2 else kron.kappa_tensor4(T)
-            rep.records.append(Record(name=f"kappa_tensor_{d}_max", values={"max": int(t.max())}))
+        return rep
+    if any(kron.over_kappa_cap(T, d, args.kappa_cap) for d in ds):
+        raise ValueError(f"kappa tensors exceed --kappa-cap {args.kappa_cap}")
+    for d in ds:
+        # sum of squares = |conj_d(G)|, which Burnside's lemma also counts
+        cr = kron.conj_count(T, d, args.kappa_cap)
+        rep.records.append(Record(name=f"kappa_tensor_{d}", values={
+            "sum_sq": cr.values["kappa_sq"], "burnside": cr.values["burnside"]}))
+        rep.records.append(Record(name=f"kappa_tensor_{d}_max",
+                                  values={"max": int(kron.kappa_tensor(T, d).max())}))
     return rep
 
 
 def cmd_verify(args) -> Report:
+    ds = args.d or [1, 2]
+    if any(d < 1 for d in ds):
+        raise ValueError("verify takes --d 1 or more")
     label, T = _get_table(args)
     G = T.group
     rep = Report(input=label)
-    for d in args.d or [1, 2]:
+    for d in ds:
         rep.records.extend(
             _verify_counts(T, G, d, args.orbit_cap, args.kappa_cap)
         )

@@ -288,9 +288,3 @@ class Cyclotomic:
 
         z = cmath.exp(2j * cmath.pi / self.e)
         return sum(float(c) * z**i for i, c in enumerate(self.coeffs))
-
-
-# -- operation-style wrapper ------------------------------------------------
-
-def cyc_root(e: int, k: int) -> Cyclotomic:
-    return Cyclotomic.root(e, k)

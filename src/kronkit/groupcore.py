@@ -231,18 +231,19 @@ def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
 def validate_cayley(table, labels=None) -> GroupTable:
     """Validate a raw n x n index table and return it as a GroupTable.
 
-    The identity is relocated to index 0 if necessary (canonical relabeling).
+    ``table`` is nested lists or an integer array; an int32 array is
+    checked and kept without a copy.  The identity is relocated to index 0
+    if necessary (canonical relabeling).
     """
-    n = len(table)
-    if any(len(row) != n for row in table):
-        raise GroupError("table entries out of range")
     try:
-        m = np.array(table, dtype=np.int64).reshape(n, n)
-    except OverflowError:
+        m = np.asarray(table)
+    except ValueError:  # rows of different lengths
         raise GroupError("table entries out of range") from None
-    if ((m < 0) | (m >= n)).any():
+    n = len(m)
+    if m.shape != (n, n) or (m.size and (m.min() < 0 or m.max() >= n)):
         raise GroupError("table entries out of range")
-    ar = np.arange(n)
+    m = m.astype(np.int32, copy=False)
+    ar = np.arange(n, dtype=np.int32)
     both = np.flatnonzero((m == ar).all(axis=1) & (m == ar[:, None]).all(axis=0))
     if not both.size:
         raise GroupError("no identity")
@@ -392,6 +393,17 @@ def load_group(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     before any row is parsed or checked.  Every malformed input raises
     ``GroupError``.
     """
+    table, labels = _parse_group(text, order_cap)
+    return validate_cayley(table, labels=labels)
+
+
+def _parse_group(text: str, order_cap: int):
+    """The int32 table and the labels (or None) of a group file.
+
+    Rows are parsed one at a time into a preallocated int32 array, so only
+    one row's strings are alive beside it; the split lines are freed on
+    return, before ``validate_cayley`` needs its temporaries.
+    """
     lines = text.splitlines()
     body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
     head = body[0].split() if body else []
@@ -410,8 +422,15 @@ def load_group(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     labels = [ln[len("# label "):] for ln in lines if ln.startswith("# label ")]
     if labels and len(labels) != n:
         raise GroupError("format error: wrong number of labels")
-    try:
-        table = [[int(v) for v in ln.split()] for ln in body[1:]]
-    except ValueError:
-        raise GroupError("format error: table entry is not an integer") from None
-    return validate_cayley(table, labels=labels or None)
+    table = np.empty((n, n), dtype=np.int32)
+    for row, ln in zip(table, body[1:]):
+        entries = ln.split()
+        if len(entries) != n:
+            raise GroupError("table entries out of range")
+        try:
+            row[:] = entries
+        except ValueError:
+            raise GroupError("format error: table entry is not an integer") from None
+        except OverflowError:
+            raise GroupError("table entries out of range") from None
+    return table, labels or None

@@ -5,6 +5,14 @@ values, as an int64 class sum modulo primes at every embedding of
 Z[zeta_e] into F_p, recovered exactly (see ``modular``).  The d=2
 coefficient tensor is the workhorse: one (k^2 x k) by (k x k) matrix
 product per embedding; the d=3 tensor is contracted from it.
+
+Every checked number is reported as a ``Record``: the values of its
+independent derivations, which must agree, and a note for each derivation
+that was left out.  This module builds the character-side records
+(``conj_count``, ``rconj_count``, ``frame_verify``, ``hecke_dimension``,
+``gelfand_symmetric`` and ``classify``), each value computed once; the
+command line adds the group-side oracle values.  The kappa cap is checked
+here, by ``over_kappa_cap``, before any tensor is built.
 """
 
 from __future__ import annotations
@@ -17,6 +25,15 @@ import numpy as np
 
 from . import modular
 from .chartab import CharacterTable, SubgroupSpec, VerificationError, dim_fixed_space, fs_indicators
+from .cyclo import euler_phi
+
+# Work bound for the kappa tensors (see ``over_kappa_cap``).  It admits a
+# tensor of at most 10^8 int64 entries, 800 MB.  Building and summing the
+# d=3 tensor peaked at 18.5 bytes per entry of it (ru_maxrss above the
+# interpreter's, an imported C2^6 table: 16.7M entries), about 1.85 GB at
+# the cap.
+DEFAULT_KAPPA_CAP = 10**8
+SKIPPED = "skipped: cap"
 
 
 @dataclass(frozen=True)
@@ -26,29 +43,18 @@ class KroneckerResult:
 
 
 @dataclass
-class CountReport:
-    quantity: str                 # conj_d | rconj_d | frame | hecke_dim
-    param: object                 # d, or a subgroup descriptor
+class Record:
+    """One checked number: ``values`` maps each derivation to its result,
+    ``notes`` says why a derivation is missing."""
+    name: str
     values: dict[str, int] = field(default_factory=dict)
     notes: dict[str, str] = field(default_factory=dict)
+    witness: Optional[str] = None
 
     @property
     def agree(self) -> bool:
         vals = list(self.values.values())
         return all(v == vals[0] for v in vals)
-
-    def add(self, name: str, value: int) -> "CountReport":
-        self.values[name] = int(value)
-        return self
-
-
-@dataclass
-class ClassificationResult:
-    mftp_d: dict[int, bool]
-    d_real_d: dict[int, bool]
-    real: bool
-    doubly_real: bool
-    witness: Optional[KroneckerResult] = None
 
 
 @dataclass(frozen=True)
@@ -142,48 +148,67 @@ def _sigma_vector(T: CharacterTable) -> np.ndarray:
     return np.array(fs_indicators(T).sigma, dtype=np.int64)
 
 
-# -- counting reports ----------------------------------------------------------
+def kappa_tensor(T: CharacterTable, d: int) -> np.ndarray:
+    """kappa over all (d+1)-tuples of irreps, for d = 2, 3."""
+    if d == 2:
+        return kappa_tensor3(T)
+    if d == 3:
+        return kappa_tensor4(T)
+    raise ValueError("tuple-sum formulas are capped at d = 3")
 
-def burnside_count(T: CharacterTable, d: int) -> int:
-    """|conj_d(G)| by Burnside's lemma: (1/|G|) sum_c |C_c| |C_G(c)|^d."""
+
+def over_kappa_cap(T: CharacterTable, d: int, cap: int) -> bool:
+    """True when the d-tuple sums would build kappa tensors above ``cap``.
+
+    The work counts the entries of every tensor built: the d=2 tensor's k^3
+    once per pair of embeddings (phi(e)^2, its modular sums), and for d=3
+    also the k^4 of the d=3 tensor.  d = 1 builds no tensor.
+    """
+    if d not in (2, 3):
+        return False
+    k = T.num_classes
+    work = k**3 * euler_phi(T.exponent) ** 2 + (k**4 if d == 3 else 0)
+    return work > cap
+
+
+# -- counting records ----------------------------------------------------------
+
+def conj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
+    """|conj_d(G)| by Burnside's lemma, (1/|G|) sum_c |C_c| |C_G(c)|^d, and
+    (for d <= 3) the kappa-square sum."""
     total = sum(s * (T.order // s) ** d for s in T.sizes)
     if total % T.order:
         raise VerificationError("Burnside sum not integral")
-    return total // T.order
-
-
-def conj_count(T: CharacterTable, d: int) -> CountReport:
-    """|conj_d(G)| by Burnside's lemma and (for d <= 3) the kappa-square sum."""
-    rep = CountReport(quantity="conj_d", param=d)
-    rep.add("burnside", burnside_count(T, d))
+    rec = Record(f"conj_{d}", {"burnside": total // T.order})
     if d == 1:
-        rep.add("kappa_sq", T.num_classes)
+        rec.values["kappa_sq"] = T.num_classes
+    elif over_kappa_cap(T, d, kappa_cap):
+        rec.notes["kappa_sq"] = SKIPPED
     elif d in (2, 3):
         # squares of the distinct values in Python ints: exact at any size
-        values, counts = np.unique(_kappa_d_tensor(T, d), return_counts=True)
-        rep.add("kappa_sq", sum(int(v) ** 2 * int(c) for v, c in zip(values, counts)))
-    return rep
+        values, counts = np.unique(kappa_tensor(T, d), return_counts=True)
+        rec.values["kappa_sq"] = sum(int(v) ** 2 * int(c) for v, c in zip(values, counts))
+    return rec
 
 
-def rconj_count(T: CharacterTable, d: int) -> CountReport:
+def rconj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
     """|rconj_d(G)| via the square-root moment and (d <= 3) the sigma-weighted
     Kronecker sum."""
-    fs = fs_indicators(T)
-    rep = CountReport(quantity="rconj_d", param=d)
-    total = sum(s * rc ** (d + 1) for s, rc in zip(T.sizes, fs.r))
+    total = sum(s * rc ** (d + 1) for s, rc in zip(T.sizes, fs_indicators(T).r))
     if total % T.order:
         raise VerificationError("square-root moment not integral")
-    rep.add("r_moment", total // T.order)
+    rec = Record(f"rconj_{d}", {"r_moment": total // T.order})
     s = _sigma_vector(T)
     if d == 1:
-        rep.add("sigma_weighted", int((s * s).sum()))
-    elif d == 2:
-        t3 = kappa_tensor3(T)
-        rep.add("sigma_weighted", int(np.einsum("u,v,w,uvw->", s, s, s, t3)))
-    elif d == 3:
-        t4 = kappa_tensor4(T)
-        rep.add("sigma_weighted", int(np.einsum("a,b,c,d,abcd->", s, s, s, s, t4)))
-    return rep
+        rec.values["sigma_weighted"] = int((s * s).sum())
+    elif over_kappa_cap(T, d, kappa_cap):
+        rec.notes["sigma_weighted"] = SKIPPED
+    elif d in (2, 3):
+        weighted = kappa_tensor(T, d)
+        for _ in range(d + 1):  # contract one sigma per irrep slot
+            weighted = weighted @ s
+        rec.values["sigma_weighted"] = int(weighted)
+    return rec
 
 
 def _first_lex(mask: np.ndarray):
@@ -193,17 +218,9 @@ def _first_lex(mask: np.ndarray):
     return tuple(int(v) for v in idx[0])  # argwhere scans in C (lex) order
 
 
-def _kappa_d_tensor(T: CharacterTable, d: int) -> np.ndarray:
-    if d == 2:
-        return kappa_tensor3(T)
-    if d == 3:
-        return kappa_tensor4(T)
-    raise ValueError("tuple-sum formulas are capped at d = 3")
-
-
 def is_mftp(T: CharacterTable, d: int = 2):
     """(all kappa <= 1, least witness tuple with kappa >= 2 otherwise)."""
-    t = _kappa_d_tensor(T, d)
+    t = kappa_tensor(T, d)
     witness = _first_lex(t >= 2)
     if witness is None:
         return True, None
@@ -220,7 +237,7 @@ def is_d_real_char(T: CharacterTable, d: int):
             if s[u] * s[T.conjugate_irrep(u)] != 1:
                 return False, KroneckerResult(irreps=(u, T.conjugate_irrep(u)), value=1)
         return True, None
-    t = _kappa_d_tensor(T, d)
+    t = kappa_tensor(T, d)
     sp = s
     for _ in range(d):
         sp = np.multiply.outer(sp, s)
@@ -231,27 +248,25 @@ def is_d_real_char(T: CharacterTable, d: int):
     return False, KroneckerResult(irreps=witness, value=int(t[witness]))
 
 
-def frame_verify(T: CharacterTable, K: SubgroupSpec) -> CountReport:
+def frame_verify(T: CharacterTable, K: SubgroupSpec) -> Record:
     """sum over irreps of sigma(V) * dim V^K (Frame's self-inverse count)."""
     fs = fs_indicators(T)
     total = sum(
         fs.sigma[i] * dim_fixed_space(T, i, K) for i in range(T.num_classes)
     )
-    rep = CountReport(quantity="frame", param=K.order)
-    rep.add("sigma_dim", total)
-    return rep
+    return Record("frame", {"sigma_dim": total})
 
 
-def hecke_dimension(T: CharacterTable, K: SubgroupSpec) -> CountReport:
+def hecke_dimension(T: CharacterTable, K: SubgroupSpec) -> Record:
     """sum of dim(V^K)^2 = number of K-double cosets."""
     total = sum(dim_fixed_space(T, i, K) ** 2 for i in range(T.num_classes))
-    rep = CountReport(quantity="hecke_dim", param=K.order)
-    rep.add("dim_sq", total)
-    return rep
+    return Record("hecke_dim", {"dim_sq": total})
 
 
-def easy_gelfand_verify(T: CharacterTable, K: SubgroupSpec, symmetric: bool) -> bool:
-    """Biconditional of the symmetric-Gelfand criterion; True is a theorem."""
+def gelfand_symmetric(T: CharacterTable, K: SubgroupSpec) -> Record:
+    """Character side of the symmetric-Gelfand criterion: every dim V^K <= 1,
+    with sigma(V) = 1 where it is 1.  It holds iff every K-double coset is
+    self-inverse (a theorem)."""
     fs = fs_indicators(T)
     char_side = True
     for i in range(T.num_classes):
@@ -259,12 +274,13 @@ def easy_gelfand_verify(T: CharacterTable, K: SubgroupSpec, symmetric: bool) -> 
         if dim > 1 or (dim == 1 and fs.sigma[i] != 1):
             char_side = False
             break
-    return symmetric == char_side
+    return Record("gelfand_symmetric", {"char": int(char_side)})
 
 
 def combinatorial_profile(T: CharacterTable) -> CombinatorialProfile:
     """Search for the (z, a, q) centralizer/degree profile; when it matches,
-    the group cannot have multiplicity-free tensor products (cross-checked)."""
+    the group cannot have multiplicity-free tensor products (``classify``
+    checks this against the kappa tensor)."""
     if T.group is None or T.classes is None:
         raise ValueError("profile needs the underlying group")
     n = T.order
@@ -291,9 +307,6 @@ def combinatorial_profile(T: CharacterTable) -> CombinatorialProfile:
             continue
         if deg_census != ({1: z * q, q: (a - z) // q} if (a - z) // q else {1: z * q}):
             continue
-        ok, _ = is_mftp(T, 2)
-        if ok:
-            raise VerificationError("combinatorial profile matched an MFTP group")
         return CombinatorialProfile(matched=True, z=z, a=a, q=q)
     return CombinatorialProfile(matched=False)
 
@@ -322,35 +335,45 @@ def sign_law_violations(T: CharacterTable):
     return bad
 
 
-def classify(T: CharacterTable, ds=(2, 3)) -> ClassificationResult:
-    """MFTP / d-real classification from the character table alone."""
-    mftp = {}
-    d_real = {}
-    witness = None
-    for d in ds:
-        ok, wit = is_mftp(T, d)
-        mftp[d] = ok
-        if d == 2 and wit is not None:
-            witness = wit
-    for d in (1, 2):
-        ok, wit = is_d_real_char(T, d)
-        d_real[d] = ok
-        if d == 2 and witness is None and wit is not None:
-            witness = wit
-    real = d_real[1]
+def _witness(wit: Optional[KroneckerResult]) -> Optional[str]:
+    return None if wit is None else "kappa" + str(wit.irreps) + "=" + str(wit.value)
+
+
+def classify(T: CharacterTable, kappa_cap: int = DEFAULT_KAPPA_CAP) -> list[Record]:
+    """The real, mftp_2, mftp_3 and doubly_real records from the character
+    table alone, and the combinatorial profile when the group is known and
+    matches it.  Traps a violation of doubly real <=> real and MFTP."""
+    real_char, _ = is_d_real_char(T, 1)
+    real = Record("real", {"char": int(real_char)})
     if T.classes is not None:
         # independent reality check through the class structure
-        real_classes = all(
-            T.classes.inverse_class[c] == c for c in range(T.num_classes)
+        real.values["class_inverse"] = int(
+            all(T.classes.inverse_class[c] == c for c in range(T.num_classes))
         )
-        if real_classes != real:
-            raise VerificationError("reality checks disagree")
-    doubly_real = d_real[2]
-    if doubly_real and not mftp.get(2, True):
-        raise VerificationError("doubly real group without MFTP")
-    if real and mftp.get(2) and not doubly_real:
-        raise VerificationError("real MFTP group not doubly real")
-    return ClassificationResult(
-        mftp_d=mftp, d_real_d=d_real, real=real, doubly_real=doubly_real,
-        witness=witness,
-    )
+    records = [real]
+    for d in (2, 3):
+        rec = Record(f"mftp_{d}")
+        if over_kappa_cap(T, d, kappa_cap):
+            rec.notes["char"] = SKIPPED
+        else:
+            ok, wit = is_mftp(T, d)
+            rec.values["char"], rec.witness = int(ok), _witness(wit)
+        records.append(rec)
+    mftp_2 = records[1].values.get("char")
+    doubly = Record("doubly_real")
+    if over_kappa_cap(T, 2, kappa_cap):
+        doubly.notes["char"] = SKIPPED
+    else:
+        ok, wit = is_d_real_char(T, 2)
+        doubly.values["char"], doubly.witness = int(ok), _witness(wit)
+        if ok != (real_char and mftp_2 == 1):
+            raise VerificationError("doubly real <=> real and MFTP fails")
+    records.append(doubly)
+    if T.group is not None:
+        prof = combinatorial_profile(T)
+        if prof.matched:
+            if mftp_2 == 1:
+                raise VerificationError("combinatorial profile matched an MFTP group")
+            records.append(Record("combinatorial_profile", {"matched": 1},
+                                  witness=f"(z,a,q)=({prof.z},{prof.a},{prof.q})"))
+    return records

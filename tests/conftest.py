@@ -1,5 +1,6 @@
 from functools import lru_cache
 
+from kronkit import kron
 from kronkit.chartab import character_table
 from kronkit.groupcore import GroupError, SubgroupSpec, direct_product
 from kronkit.orbits import DEFAULT_ORBIT_CAP
@@ -14,6 +15,11 @@ def build(family, *params):
 @lru_cache(maxsize=None)
 def table(family, *params):
     return character_table(build(family, *params))
+
+
+def classified(T):
+    """kron.classify's records by name."""
+    return {r.name: r for r in kron.classify(T)}
 
 
 def rows(G):

@@ -17,7 +17,7 @@ from kronkit.groupcore import SubgroupSpec, subgroup_closure
 from kronkit.orbits import double_cosets, frame_pair_count, simultaneous_classes
 from kronkit.zoo import FamilySpec
 
-from conftest import build, diagonal_subgroup, rows, table
+from conftest import build, classified, diagonal_subgroup, rows, table
 
 
 def battery():
@@ -91,8 +91,8 @@ def test_criterion_3_generalized_quaternion_series():
             z_is_square = z in {mul[x][x] for x in range(2 * n)}
             doubly, _ = kron.is_d_real_char(T, 2)
             assert doubly == z_is_square == (n % 2 == 0), n
-        assert kron.classify(table("generalized_quaternion", 4)).doubly_real
-        assert not kron.classify(table("generalized_quaternion", 6)).real
+        assert classified(table("generalized_quaternion", 4))["doubly_real"].values["char"]
+        assert not classified(table("generalized_quaternion", 6))["real"].values["char"]
 
 
 def _stabilizer(G, point):
@@ -135,7 +135,7 @@ def test_criterion_4_frame_and_gelfand():
             dc = double_cosets(G, K)
             sigma_dim = kron.frame_verify(T, K).values["sigma_dim"]
             assert sigma_dim == dc.self_inverse_count == frame_pair_count(G, K), name
-            assert kron.easy_gelfand_verify(T, K, dc.symmetric), name
+            assert kron.gelfand_symmetric(T, K).values["char"] == int(dc.symmetric), name
 
 
 NON_MFTP = ["S5", "A4", "A5", "GL2(3)", "PSL2(5)", "PSL2(7)", "F21", "F39",
@@ -147,16 +147,16 @@ DOUBLY_REAL = (["D(C%d)" % n for n in range(2, 9)]
 def test_criterion_5_classification_matrix():
     with report(5, "MFTP / doubly-real classification across the battery"):
         by_label = {label: (fam, params) for label, fam, params in BATTERY}
-        cls = kron.classify(table("symmetric", 3))
-        assert cls.mftp_d[2] and cls.doubly_real
-        assert kron.classify(table("symmetric", 4)).mftp_d[2]
+        cls = classified(table("symmetric", 3))
+        assert cls["mftp_2"].values["char"] and cls["doubly_real"].values["char"]
+        assert classified(table("symmetric", 4))["mftp_2"].values["char"]
         for label in NON_MFTP:
             fam, params = by_label[label]
             ok, wit = kron.is_mftp(table(fam, *params), 2)
             assert not ok and wit is not None and wit.value >= 2, label
         for label in DOUBLY_REAL:
             fam, params = by_label[label]
-            assert kron.classify(table(fam, *params)).doubly_real, label
+            assert classified(table(fam, *params))["doubly_real"].values["char"], label
 
 
 def test_criterion_6_specific_values():

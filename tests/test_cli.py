@@ -1,11 +1,15 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from kronkit import kron
 from kronkit.chartab import IndicatorData, load_table
-from kronkit.cli import main, render_report
+from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.groupcore import load_group
+
+REPORTS = Path(__file__).parent / "reports"
 
 
 def run(capsys, *argv):
@@ -166,6 +170,8 @@ def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
     (("--family", "extraspecial2", "--params", "3", "3"), "group exceeds order cap"),
     # a group file is refused on its order line, before any row is read
     (("--group-file", "GROUP_FILE", "--order-cap", "5"), "group exceeds order cap"),
+    (("--family", "symmetric", "--params", "3", "--d", "0"), "verify takes --d 1 or more"),
+    (("--family", "symmetric", "--params", "3", "--d", "2", "-1"), "verify takes --d 1 or more"),
 ])
 def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
     group_file = tmp_path / "g.grp"
@@ -212,3 +218,86 @@ def test_rconj_disagreement_is_a_fail_record(capsys, monkeypatch):
     assert rec["rconj_2"]["agree"] is False
     assert rec["rconj_2"]["values"]["r_moment"] != rec["rconj_2"]["values"]["sigma_weighted"]
     assert rec["conj_2"]["agree"] is True
+
+
+def test_reality_disagreement_is_a_fail_record(capsys, monkeypatch):
+    real = kron.fs_indicators
+
+    def unreal_first_irrep(T):
+        fs = real(T)
+        return IndicatorData(sigma=(0,) + fs.sigma[1:], r=fs.r, r_max=fs.r_max)
+
+    monkeypatch.setattr(kron, "fs_indicators", unreal_first_irrep)
+    code, out = run(capsys, "classify", *S3)
+    assert code == 2
+    rec = {r["name"]: r for r in json.loads(out)["records"]}
+    assert rec["real"]["values"] == {"char": "0", "class_inverse": "1"}
+    assert rec["real"]["agree"] is False
+
+
+def test_scan_reports_match_the_recorded_bytes():
+    # recorded reports: a change to any record's bytes must update them on purpose
+    rep = cmd_scan(build_parser().parse_args(["scan"]))
+    assert render_report(rep, "text") == (REPORTS / "scan.txt").read_text()
+    digests = {name: digest for digest, name in
+               map(str.split, (REPORTS / "scan.sha256").read_text().splitlines())}
+    for fmt in ("json", "csv"):
+        text = render_report(rep, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == digests["scan." + fmt], fmt
+
+
+def _c2_power_table(path, n):
+    """Write the character table of C2^n, chi_s(x) = (-1)^|s & x|."""
+    k = 2**n
+    sign = ("2:[0=1/1]", "2:[0=-1/1]")
+    lines = [f"order {k}", "exponent 2", f"classes {k}", "sizes" + " 1" * k,
+             "powermap2" + " 0" * k]
+    lines += ["chi: " + " | ".join(sign[bin(s & x).count("1") % 2] for x in range(k))
+              for s in range(k)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+SKIP = "skipped: cap"
+
+
+@pytest.mark.parametrize("argv,code,expected", [
+    # d = 1 builds no tensor: only the d = 2 kappa sums are skipped
+    pytest.param(("verify", *S3, "--kappa-cap", "1"), 0,
+                 {"conj_2": {"kappa_sq": SKIP}, "rconj_2": {"sigma_weighted": SKIP}},
+                 id="verify-S3"),
+    pytest.param(("classify", *S3, "--kappa-cap", "1"), 0,
+                 {"mftp_2": {"char": SKIP}, "mftp_3": {"char": SKIP},
+                  "doubly_real": {"char": SKIP}},
+                 id="classify-S3"),
+    # the d=3 tensor of C2^7 would hold 2^28 int64 entries (2 GiB)
+    pytest.param(("verify", "--table-file", "C2^7", "--d", "3"), 0,
+                 {"conj_3": {"kappa_sq": SKIP}, "rconj_3": {"sigma_weighted": SKIP}},
+                 id="verify-C2^7-d3"),
+    pytest.param(("classify", "--table-file", "C2^7"), 0, {"mftp_3": {"char": SKIP}},
+                 id="classify-C2^7"),
+    pytest.param(("kron", "--table-file", "C2^7", "--d", "3"), 1,
+                 "error: kappa tensors exceed --kappa-cap 100000000", id="kron-C2^7-d3"),
+    pytest.param(("kron", *S3, "--kappa-cap", "1"), 1,
+                 "error: kappa tensors exceed --kappa-cap 1", id="kron-S3"),
+])
+def test_kappa_cap(capsys, tmp_path, argv, code, expected):
+    argv = [_c2_power_table(tmp_path / "c2_7.tbl", 7) if a == "C2^7" else a for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err == expected + "\n"
+        return
+    records = json.loads(out)["records"]
+    assert {r["name"]: r["notes"] for r in records if "notes" in r} == expected
+    assert all(r["agree"] for r in records)
+
+
+def test_kappa_cap_keeps_the_d1_sums(capsys):
+    reports = []
+    for cap in ("1", "100"):
+        assert main(["verify", *S3, "--d", "1", "--kappa-cap", cap]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    values = {r["name"]: r["values"] for r in json.loads(reports[0])["records"]}
+    assert values["conj_1"]["kappa_sq"] == "3" and values["rconj_1"]["sigma_weighted"] == "3"

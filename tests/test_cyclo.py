@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from kronkit.cyclo import (
     Cyclotomic,
     NotRationalError,
-    cyc_root,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -49,7 +48,7 @@ def test_roots_of_unity():
 def test_root_power_wraps():
     z = Cyclotomic.root(4)
     assert z * z == Cyclotomic.rational(-1, 4)
-    assert cyc_root(4, 2) == Cyclotomic.rational(-1)
+    assert Cyclotomic.root(4, 2) == Cyclotomic.rational(-1)
 
 
 def test_galois_and_conjugate():

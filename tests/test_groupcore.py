@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from functools import reduce
 from math import lcm
 
@@ -161,6 +162,21 @@ def test_dump_load_round_trip():
     S = symmetric(3)  # has labels
     H = load_group(dump_group(S))
     assert rows(H) == rows(S) and H.labels == S.labels
+
+
+def test_load_group_peak_fits_the_table_budget():
+    # rows go straight into the int32 table: no Python int per entry, no int64 copy
+    n = 320
+    C = cyclic(n)
+    text = dump_group(C)
+    tracemalloc.start()
+    try:
+        G = load_group(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.table.dtype == np.int32 and np.array_equal(G.table, C.table)
+    assert peak <= n * n * TABLE_BYTES_PER_ENTRY
 
 
 def test_load_rejects_garbage():

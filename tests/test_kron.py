@@ -8,7 +8,7 @@ from kronkit.chartab import VerificationError, dump_table, fs_indicators, load_t
 from kronkit.groupcore import subgroup_closure
 from kronkit.orbits import double_cosets, frame_pair_count, simultaneous_classes
 
-from conftest import build, diagonal_subgroup, table
+from conftest import build, classified, diagonal_subgroup, table
 
 
 def test_kronecker_s3():
@@ -153,7 +153,7 @@ def test_frame_verify_and_hecke():
     assert kron.frame_verify(T, K).values["sigma_dim"] == dc.self_inverse_count
     assert kron.frame_verify(T, K).values["sigma_dim"] == frame_pair_count(G, K)
     assert kron.hecke_dimension(T, K).values["dim_sq"] == len(dc.cosets)
-    assert kron.easy_gelfand_verify(T, K, dc.symmetric)
+    assert kron.gelfand_symmetric(T, K).values["char"] == int(dc.symmetric)
 
 
 def test_gelfand_diagonal_pair():
@@ -164,7 +164,7 @@ def test_gelfand_diagonal_pair():
     TP = character_table(P)
     sym = double_cosets(P, Delta).symmetric
     assert sym
-    assert kron.easy_gelfand_verify(TP, Delta, sym)
+    assert kron.gelfand_symmetric(TP, Delta).values["char"] == int(sym)
 
 
 def test_combinatorial_profile():
@@ -185,16 +185,20 @@ def test_sign_law_holds():
         assert kron.sign_law_violations(table(fam, *params)) == []
 
 
+def _chars(T):
+    return {name: r.values["char"] for name, r in classified(T).items() if "char" in r.values}
+
+
 def test_classify_matrix():
-    cls = kron.classify(table("symmetric", 3))
-    assert cls.mftp_d == {2: True, 3: False}
-    assert cls.real and cls.doubly_real
-    cls = kron.classify(table("generalized_quaternion", 6))
-    assert not cls.real and not cls.doubly_real
-    cls = kron.classify(table("extraspecial2", 1, 1))
-    assert cls.doubly_real and cls.mftp_d[2]
-    cls = kron.classify(table("gl2", 3))
-    assert not cls.mftp_d[2] and cls.witness is not None
+    cls = _chars(table("symmetric", 3))
+    assert (cls["mftp_2"], cls["mftp_3"]) == (1, 0)
+    assert cls["real"] and cls["doubly_real"]
+    cls = _chars(table("generalized_quaternion", 6))
+    assert not cls["real"] and not cls["doubly_real"]
+    cls = _chars(table("extraspecial2", 1, 1))
+    assert cls["doubly_real"] and cls["mftp_2"]
+    cls = classified(table("gl2", 3))
+    assert not cls["mftp_2"].values["char"] and cls["mftp_2"].witness is not None
 
 
 def test_higher_power_conjugate_pairing():
