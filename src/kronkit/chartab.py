@@ -404,21 +404,29 @@ def fs_indicators(T: CharacterTable) -> IndicatorData:
     return T.fs
 
 
-def dim_fixed_space(T: CharacterTable, irrep: int, K: SubgroupSpec) -> int:
-    """dim V^K = (1/|K|) sum over K of chi_V."""
+def dim_fixed_space(T: CharacterTable, K: SubgroupSpec) -> tuple[int, ...]:
+    """dim V^K = (1/|K|) sum over K of chi_V, for every irrep V.
+
+    One subgroup check and one class sum give every dimension; they are
+    cached on T per subgroup.
+    """
+    dims = T._cache.get(("fixed", K))
+    if dims is not None:
+        return dims
     if T.group is None or T.classes is None:
         raise TableError("fixed-space dimensions need the underlying group")
     if not is_subgroup(T.group, K):
         raise TableError("not a subgroup")
-    counts = [0] * T.num_classes  # elements of K per class
-    for x in K.elements:
-        counts[T.classes.class_of[x]] += 1
+    # elements of K per class
+    counts = np.bincount(np.asarray(T.classes.class_of)[list(K.elements)],
+                         minlength=T.num_classes).tolist()
     img = modular.images(T)
-    total = img.exact(sum(m * l1 for m, l1 in zip(counts, img.l1[irrep])),
-                      lambda p, V: V[:, irrep] @ modular.residues(counts, p) % p)
-    if total is None or total % K.order or total < 0:
+    bound = max(sum(m * l1 for m, l1 in zip(counts, row)) for row in img.l1)
+    totals = img.exact(bound, lambda p, V: V @ modular.residues(counts, p) % p)
+    if totals is None or any(t % K.order or t < 0 for t in totals):
         raise VerificationError("fixed-space dimension not a non-negative integer")
-    return int(total) // K.order
+    dims = T._cache[("fixed", K)] = tuple(int(t) // K.order for t in totals)
+    return dims
 
 
 # -- exchange format -----------------------------------------------------------

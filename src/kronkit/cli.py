@@ -1,10 +1,11 @@
 """Batch front end.
 
-Subcommands: build | chartab | kron | classify | verify | scan.
-Reports are deterministic (byte-identical across runs); wall-clock timings
-are emitted only with --timings, which breaks byte-identity on purpose.
-Exit codes: 0 = all agree, 2 = at least one agreement failure, 1 = usage
-or build error.
+Subcommands: build | chartab | kron | classify | verify | scan; each takes
+only the options it reads (``_COMMANDS``).  Reports are deterministic
+(byte-identical across runs); wall-clock timings are emitted only by
+``scan --timings``, which breaks byte-identity on purpose.  Exit codes:
+0 = all agree, 2 = at least one agreement failure, 1 = usage or build
+error, reported in one line.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ def _build_group(args) -> tuple[str, GroupTable]:
     if not args.family:
         raise GroupError("need --family or --group-file")
     spec = FamilySpec(args.family, _parse_params(args.params))
-    label = args.family + "(" + ",".join(str(p) for p in spec.params) + ")"
-    return label, zoo_build(spec, args.order_cap)
+    return str(spec), zoo_build(spec, args.order_cap)
 
 
 def _get_table(args) -> tuple[str, CharacterTable]:
@@ -210,12 +210,17 @@ def _battery_entries(path: Optional[str]):
             resources.files("kronkit").joinpath("data/battery.txt").read_text()
         )
     entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in enumerate(text.splitlines(), 1):
         parts = line.split()
-        entries.append((parts[0], parts[1], tuple(int(p) for p in parts[2:])))
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) < 2:
+            raise ValueError(f"battery line {number}: need a label and a family")
+        try:
+            params = tuple(int(p) for p in parts[2:])
+        except ValueError:
+            raise ValueError(f"battery line {number}: parameters must be integers") from None
+        entries.append((parts[0], parts[1], params))
     return entries
 
 
@@ -305,52 +310,69 @@ def render_report(rep: Report, fmt: str, timings: bool = False) -> str:
 
 # -- entry point ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` on bad arguments, for exit 1 and a one-line
+    error: argparse's own exit code 2 means a disagreement here."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+_OPTIONS = {
+    "family": dict(choices=zoo.FAMILIES),
+    "params": dict(nargs="*", default=[]),
+    "group-file": {},
+    "table-file": {},
+    "d": dict(type=int, nargs="*"),
+    "subgroup-gens": dict(nargs="*"),
+    "irreps": dict(nargs="*"),
+    "format": dict(choices=("json", "csv", "text"), default="json"),
+    "out": {},
+    "orbit-cap": dict(type=int, default=DEFAULT_ORBIT_CAP),
+    "order-cap": dict(type=int, default=DEFAULT_ORDER_CAP),
+    "kappa-cap": dict(type=int, default=DEFAULT_KAPPA_CAP),
+    "battery": {},
+    "timings": dict(action="store_true"),
+}
+
+_GROUP = "family params group-file order-cap"
+_TABLE = _GROUP + " table-file"
+
+# each subcommand: its function and the options it reads
+_COMMANDS = {
+    "build": (cmd_build, _GROUP + " out"),
+    "chartab": (cmd_chartab, _TABLE + " out"),
+    "kron": (cmd_kron, _TABLE + " d irreps kappa-cap format out"),
+    "classify": (cmd_classify, _TABLE + " orbit-cap kappa-cap format out"),
+    "verify": (cmd_verify, _TABLE + " d subgroup-gens orbit-cap kappa-cap format out"),
+    "scan": (cmd_scan, "battery order-cap orbit-cap kappa-cap format out timings"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="kronkit",
         description="Exact tensor-product multiplicity and conjugacy counting",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("build", "chartab", "kron", "classify", "verify", "scan"):
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--family", choices=zoo.FAMILIES)
-        p.add_argument("--params", nargs="*", default=[])
-        p.add_argument("--group-file")
-        p.add_argument("--table-file")
-        p.add_argument("--d", type=int, nargs="*")
-        p.add_argument("--subgroup-gens", nargs="*")
-        p.add_argument("--irreps", nargs="*")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--out")
-        p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
-        p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-        p.add_argument("--kappa-cap", type=int, default=DEFAULT_KAPPA_CAP)
-        p.add_argument("--battery")
-        p.add_argument("--timings", action="store_true")
+        for option in options.split():
+            p.add_argument("--" + option, **_OPTIONS[option])
     return ap
 
 
-_COMMANDS = {
-    "build": cmd_build,
-    "chartab": cmd_chartab,
-    "kron": cmd_kron,
-    "classify": cmd_classify,
-    "verify": cmd_verify,
-    "scan": cmd_scan,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        rep = _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        rep = _COMMANDS[args.command][0](args)
     except (GroupError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command in ("build", "chartab"):
         # payload already emitted; report is informational
         return 0
-    text = render_report(rep, args.format, timings=args.timings)
+    text = render_report(rep, args.format, timings=getattr(args, "timings", False))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -281,10 +281,3 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.serialize()})"
-
-    def approx(self) -> complex:
-        """Floating-point approximation, for display only."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.e)
-        return sum(float(c) * z**i for i, c in enumerate(self.coeffs))

@@ -4,6 +4,12 @@ Elements are dense indices 0..n-1 with the identity always at index 0.
 Constructors (closure, products, quotients) produce associative tables by
 design; tables from external sources go through :func:`validate_cayley`,
 which checks associativity by Light's test.
+
+Products and quotients take no order cap: their sizes are known in advance,
+and ``zoo`` checks them before it builds anything.  Only the constructions
+whose size is not known beforehand take one: ``group_from_generators``, which
+stops past ``order_cap`` elements, and ``load_group``, which reads the order
+line first.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from . import _kernels
 # a semidirect product or a Heisenberg group 16, the most; conjugacy classes
 # and the exponent add nothing measurable.  So a group is admitted while
 # n^2 * TABLE_BYTES_PER_ENTRY fits TABLE_BUDGET_BYTES: n <= 5792, which
-# admits S7 (5040) and refuses 2^13.  Constructors that pass
-# through a larger group (a central product's G x H, the A x| C4 behind a
-# generalized quaternion group) apply the same cap to it.
+# admits S7 (5040) and refuses 2^13.  The cap bounds the largest table a
+# construction holds: ``zoo`` checks it before building, also where the
+# construction passes through a group larger than its result (a central
+# product's G x H, the A x| C4 behind a generalized quaternion group), and
+# ``load_group`` checks it on the order line.
 TABLE_BYTES_PER_ENTRY = 16
 TABLE_BUDGET_BYTES = 2**29
 DEFAULT_ORDER_CAP = isqrt(TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ENTRY)
@@ -318,12 +326,9 @@ def is_subgroup(G: GroupTable, K: SubgroupSpec) -> bool:
                 and inside[np.asarray(G.inv)[els]].all())
 
 
-def direct_product(G: GroupTable, H: GroupTable,
-                   order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     """G x H with (a, b) at index a * |H| + b."""
     n, m = G.order, H.order
-    if n * m > order_cap:
-        raise GroupError("group too large")
     table = G.table[:, None, :, None] * m + H.table[None, :, None, :]
     return GroupTable(table.reshape(n * m, n * m))
 
@@ -346,13 +351,10 @@ def _check_action(A: GroupTable, H: GroupTable, action) -> np.ndarray:
     return P
 
 
-def semidirect_product(A: GroupTable, H: GroupTable, action,
-                       order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def semidirect_product(A: GroupTable, H: GroupTable, action) -> GroupTable:
     """A x| H with multiplication (a,h)(a',h') = (a * action[h](a'), hh'),
     (a, h) at index a * |H| + h."""
     n, m = A.order, H.order
-    if n * m > order_cap:
-        raise GroupError("group too large")
     P = _check_action(A, H, action)  # holds |H| |A|^2 entries
     left = A.table[:, P]  # [a, h, a'] = a * action[h](a')
     table = left[:, :, :, None] * m + H.table[None, :, None, :]

@@ -185,9 +185,16 @@ def conj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) ->
     elif over_kappa_cap(T, d, kappa_cap):
         rec.notes["kappa_sq"] = SKIPPED
     elif d in (2, 3):
-        # squares of the distinct values in Python ints: exact at any size
-        values, counts = np.unique(kappa_tensor(T, d), return_counts=True)
-        rec.values["kappa_sq"] = sum(int(v) ** 2 * int(c) for v, c in zip(values, counts))
+        # squares summed in Python ints: exact at any size.  The entries are
+        # non-negative (checked when the tensor is built), so bincount counts
+        # each value without sorting a copy; while every entry is below the
+        # number of entries, the counts take no more room than the tensor
+        t = kappa_tensor(T, d).ravel()
+        if t.dtype != object and t.max() < t.size:
+            counts = np.bincount(t).tolist()
+            rec.values["kappa_sq"] = sum(v * v * c for v, c in enumerate(counts) if c)
+        else:
+            rec.values["kappa_sq"] = sum(int(v) ** 2 for v in t)
     return rec
 
 
@@ -212,10 +219,11 @@ def rconj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -
 
 
 def _first_lex(mask: np.ndarray):
-    idx = np.argwhere(mask)
-    if len(idx) == 0:
+    """The lexicographically least index where ``mask`` holds, or None."""
+    first = int(mask.argmax())  # the first True in C (lexicographic) order
+    if not mask.flat[first]:
         return None
-    return tuple(int(v) for v in idx[0])  # argwhere scans in C (lex) order
+    return tuple(int(v) for v in np.unravel_index(first, mask.shape))
 
 
 def is_mftp(T: CharacterTable, d: int = 2):
@@ -250,30 +258,21 @@ def is_d_real_char(T: CharacterTable, d: int):
 
 def frame_verify(T: CharacterTable, K: SubgroupSpec) -> Record:
     """sum over irreps of sigma(V) * dim V^K (Frame's self-inverse count)."""
-    fs = fs_indicators(T)
-    total = sum(
-        fs.sigma[i] * dim_fixed_space(T, i, K) for i in range(T.num_classes)
-    )
+    total = sum(s * d for s, d in zip(fs_indicators(T).sigma, dim_fixed_space(T, K)))
     return Record("frame", {"sigma_dim": total})
 
 
 def hecke_dimension(T: CharacterTable, K: SubgroupSpec) -> Record:
     """sum of dim(V^K)^2 = number of K-double cosets."""
-    total = sum(dim_fixed_space(T, i, K) ** 2 for i in range(T.num_classes))
-    return Record("hecke_dim", {"dim_sq": total})
+    return Record("hecke_dim", {"dim_sq": sum(d * d for d in dim_fixed_space(T, K))})
 
 
 def gelfand_symmetric(T: CharacterTable, K: SubgroupSpec) -> Record:
     """Character side of the symmetric-Gelfand criterion: every dim V^K <= 1,
     with sigma(V) = 1 where it is 1.  It holds iff every K-double coset is
     self-inverse (a theorem)."""
-    fs = fs_indicators(T)
-    char_side = True
-    for i in range(T.num_classes):
-        dim = dim_fixed_space(T, i, K)
-        if dim > 1 or (dim == 1 and fs.sigma[i] != 1):
-            char_side = False
-            break
+    char_side = all(d == 0 or (d == 1 and s == 1)
+                    for d, s in zip(dim_fixed_space(T, K), fs_indicators(T).sigma))
     return Record("gelfand_symmetric", {"char": int(char_side)})
 
 

@@ -1,14 +1,20 @@
 """Constructors for the group families used throughout: cyclic/Abelian
 groups, symmetric/alternating, generalized dihedral D(A), generalized
-quaternion Q(A), Heisenberg groups over small finite fields, extraspecial
+quaternion Q(A), Heisenberg groups over finite fields, extraspecial
 2-groups, GL2/PSL2, and Frobenius groups C_p^b x| C_q.
+
+``FAMILIES`` declares each family once: its parameters, its order, the order
+of the largest table its construction holds, and its constructor.
+``zoo_build`` checks that largest table against the order cap before any
+table is built, so the constructors take no cap of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, isqrt, prod
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,34 +29,9 @@ from .groupcore import (
     subgroup_closure,
 )
 
-FAMILIES = (
-    "cyclic",
-    "abelian",
-    "symmetric",
-    "alternating",
-    "generalized_dihedral",
-    "generalized_quaternion",
-    "heisenberg",
-    "extraspecial2",
-    "gl2",
-    "psl2",
-    "frobenius",
-    "heisenberg_odd_p3",
-)
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise GroupError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-
-    def __str__(self):
-        return f"{self.family}({','.join(map(str, self.params))})"
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % t for t in range(2, isqrt(n) + 1))
 
 
 # -- finite fields -----------------------------------------------------------
@@ -221,7 +202,8 @@ def symmetric(n: int) -> GroupTable:
         return cyclic(1)
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
-    return group_from_generators(n, [swap, cycle], labels_from_perms=True)
+    return group_from_generators(n, [swap, cycle], order_cap=factorial(n),
+                                 labels_from_perms=True)
 
 
 def alternating(n: int) -> GroupTable:
@@ -232,26 +214,21 @@ def alternating(n: int) -> GroupTable:
         c = list(range(n))
         c[0], c[1], c[i] = 1, i, 0  # 3-cycle (0 1 i)
         gens.append(tuple(c))
-    return group_from_generators(n, gens, labels_from_perms=True)
-
-
-def _inversion_perm(A: GroupTable) -> tuple[int, ...]:
-    return A.inv
+    return group_from_generators(n, gens, order_cap=factorial(n) // 2,
+                                 labels_from_perms=True)
 
 
 def generalized_dihedral(A: GroupTable) -> GroupTable:
     """D(A) = A x| C2 with the involution acting by inversion."""
     C2 = cyclic(2)
     ident = tuple(range(A.order))
-    return semidirect_product(A, C2, [ident, _inversion_perm(A)])
+    return semidirect_product(A, C2, [ident, A.inv])
 
 
-def generalized_quaternion(A: GroupTable,
-                           order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def generalized_quaternion(A: GroupTable) -> GroupTable:
     """Q(A) = (A x| C4) / <(z, s^2)> for the unique order-2 element z of A.
 
-    The semidirect product A x| C4 has twice the order of Q(A); ``order_cap``
-    applies to it.
+    The semidirect product A x| C4 has twice the order of Q(A).
     """
     order2 = np.flatnonzero(A.table.diagonal() == 0)[1:]  # [0] is the identity
     if len(order2) != 1:
@@ -259,8 +236,7 @@ def generalized_quaternion(A: GroupTable,
     z = int(order2[0])
     C4 = cyclic(4)
     ident = tuple(range(A.order))
-    invp = _inversion_perm(A)
-    S = semidirect_product(A, C4, [ident, invp, ident, invp], order_cap)
+    S = semidirect_product(A, C4, [ident, A.inv, ident, A.inv])
     # element (a, h) of S has index a*4 + h
     zs2 = z * 4 + 2
     N = subgroup_closure(S, [zs2])
@@ -275,8 +251,6 @@ def heisenberg(n: int, q: int) -> GroupTable:
         raise GroupError("n must be positive")
     F = make_field(q)
     total = q ** (2 * n + 1)
-    if total > DEFAULT_ORDER_CAP:
-        raise GroupError("group too large")
     add, mul = np.array(F.add, dtype=np.int32), np.array(F.mul, dtype=np.int32)
     # coordinate j of element i is its base-q digit j: x_0..x_{n-1}, y_0..y_{n-1}, z
     coords = np.arange(total)[:, None] // q ** np.arange(2 * n + 1) % q
@@ -291,19 +265,15 @@ def heisenberg(n: int, q: int) -> GroupTable:
     return GroupTable(code)
 
 
-def central_product(G: GroupTable, H: GroupTable, zG: int, zH: int,
-                    order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """(G x H) / <(zG, zH)> for central elements of equal order.
-
-    ``order_cap`` applies to G x H, which is larger than the result.
-    """
+def central_product(G: GroupTable, H: GroupTable, zG: int, zH: int) -> GroupTable:
+    """(G x H) / <(zG, zH)> for central elements of equal order."""
     if (G.table[:, zG] != G.table[zG]).any():
         raise GroupError("zG not central")
     if (H.table[:, zH] != H.table[zH]).any():
         raise GroupError("zH not central")
     if G.element_order(zG) != H.element_order(zH):
         raise GroupError("central elements have different orders")
-    P = direct_product(G, H, order_cap)
+    P = direct_product(G, H)
     N = subgroup_closure(P, [zG * H.order + zH])
     Q, _ = quotient_group(P, N)
     return Q
@@ -317,25 +287,22 @@ def _central_involution(G: GroupTable) -> int:
     return int(zs[0])
 
 
-def extraspecial2(a: int, b: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def extraspecial2(a: int, b: int) -> GroupTable:
     """Central product of a copies of D8 and b copies of Q8 (right-associated),
     an extraspecial 2-group of order 2^(2(a+b)+1).  The last direct product
-    has twice that order; ``order_cap`` applies to it."""
+    has twice that order."""
     if a < 0 or b < 0 or a + b < 1:
         raise GroupError("need at least one factor")
     factors = [generalized_dihedral(cyclic(4)) for _ in range(a)]
     factors += [generalized_quaternion(cyclic(4)) for _ in range(b)]
     G = factors[-1]
     for F in reversed(factors[:-1]):
-        G = central_product(F, G, _central_involution(F), _central_involution(G),
-                            order_cap)
+        G = central_product(F, G, _central_involution(F), _central_involution(G))
     return G
 
 
-def gl2(q: int, cap: int = DEFAULT_ORDER_CAP, det_one: bool = False) -> GroupTable:
+def gl2(q: int, det_one: bool = False) -> GroupTable:
     """GL2(F_q) (or SL2 when det_one), by enumerating invertible matrices."""
-    if q > 7:
-        raise GroupError("gl2/psl2 supported for q <= 7")
     F = make_field(q)
     add, mul = np.array(F.add, dtype=np.int32), np.array(F.mul, dtype=np.int32)
     # matrix (a, b; c, d) has the base-q code ((a q + b) q + c) q + d
@@ -346,8 +313,6 @@ def gl2(q: int, cap: int = DEFAULT_ORDER_CAP, det_one: bool = False) -> GroupTab
     ident = q**3 + 1  # (1, 0; 0, 1), put first
     mats = np.concatenate(([ident], mats[mats != ident]))
     n = len(mats)
-    if n > cap:
-        raise GroupError("group too large")
     a, b, c, d = a[mats], b[mats], c[mats], d[mats]
     # dot[u, v] = u . v for field vectors u, v coded u_0 q + u_1
     u0, u1 = np.divmod(np.arange(q * q), q)
@@ -376,7 +341,9 @@ def psl2(q: int) -> GroupTable:
 
 def frobenius(p: int, b: int, q: int) -> GroupTable:
     """C_p^b x| C_q with C_q acting as a primitive q-th root of F_{p^b}."""
-    if q < 2 or any(q % t == 0 for t in range(2, q)):
+    if not _is_prime(p):
+        raise GroupError("p must be prime")
+    if not _is_prime(q):
         raise GroupError("q must be prime")
     if b < 1:
         raise GroupError("b must be positive")
@@ -399,7 +366,7 @@ def frobenius(p: int, b: int, q: int) -> GroupTable:
 def heisenberg_odd_p3(p: int) -> GroupTable:
     """The non-Abelian group C_{p^2} x| C_p of order p^3 and exponent p^2
     (the generator of C_p acts by multiplication by 1+p)."""
-    if p < 3 or any(p % t == 0 for t in range(2, p)):
+    if p == 2 or not _is_prime(p):
         raise GroupError("p must be an odd prime")
     A = cyclic(p * p)
     Cp = cyclic(p)
@@ -411,84 +378,79 @@ def heisenberg_odd_p3(p: int) -> GroupTable:
     return semidirect_product(A, Cp, action)
 
 
-# -- dispatcher ---------------------------------------------------------------
+# -- the family table ----------------------------------------------------------
 
-def family_order(spec: FamilySpec) -> int:
-    """The order of the group ``spec`` builds, from its parameters alone.
+@dataclass(frozen=True)
+class Family:
+    """``params`` names the parameters; one name ending in "..." takes one
+    or more values.  ``order`` gives the group's order from the parameters
+    and ``largest`` the order of the largest table the construction holds,
+    where that is a larger group than the result."""
+    params: str
+    order: Callable[..., int]
+    build: Callable[..., GroupTable]
+    largest: Optional[Callable[..., int]] = None
 
-    Meaningful only for parameters the constructor accepts; it lets a cap
-    be applied before any table is built.  For n > 21 the symmetric and
-    alternating orders are given as those of n = 21, which exceed 2^64.
-    """
-    fam, params = spec.family, spec.params
-    if fam in ("cyclic", "abelian"):
-        return prod(params)
-    if fam in ("generalized_dihedral", "generalized_quaternion"):
-        return 2 * prod(params)
-    if fam == "symmetric":
-        (n,) = params
-        return factorial(min(max(n, 1), 21))
-    if fam == "alternating":
-        (n,) = params
-        return factorial(min(n, 21)) // 2 if n > 2 else 1
-    if fam == "heisenberg":
-        n, q = params
-        return q ** (2 * max(n, 0) + 1)
-    if fam == "extraspecial2":
-        a, b = params
-        return 2 ** (2 * max(a + b, 0) + 1)
-    if fam == "gl2":
-        (q,) = params
-        return (q * q - 1) * (q * q - q)
-    if fam == "psl2":
-        (q,) = params
-        return q * (q * q - 1) // (1 if q % 2 == 0 else 2)
-    if fam == "frobenius":
-        p, b, q = params
-        return p ** max(b, 0) * q
-    if fam == "heisenberg_odd_p3":
-        (p,) = params
-        return p**3
-    raise GroupError(f"unknown family {fam!r}")
+
+FAMILIES: dict[str, Family] = {
+    "cyclic": Family("n", lambda n: n, cyclic),
+    "abelian": Family("n...", lambda *ns: prod(ns), lambda *ns: abelian(ns)),
+    # n > 21 counts as 21, whose order already exceeds 2^64
+    "symmetric": Family("n", lambda n: factorial(min(max(n, 1), 21)), symmetric),
+    "alternating": Family("n", lambda n: factorial(min(n, 21)) // 2 if n > 2 else 1,
+                          alternating),
+    "generalized_dihedral": Family("n...", lambda *ns: 2 * prod(ns),
+                                   lambda *ns: generalized_dihedral(abelian(ns))),
+    # through A x| C4
+    "generalized_quaternion": Family("n...", lambda *ns: 2 * prod(ns),
+                                     lambda *ns: generalized_quaternion(abelian(ns)),
+                                     largest=lambda *ns: 4 * prod(ns)),
+    "heisenberg": Family("n q", lambda n, q: q ** (2 * max(n, 0) + 1), heisenberg),
+    # through the last central product's G x H, twice the group; Q8 alone
+    # through its 16-element A x| C4
+    "extraspecial2": Family("a b", lambda a, b: 2 ** (2 * max(a + b, 0) + 1), extraspecial2,
+                            largest=lambda a, b: 4 ** (a + b + 1) if a + b > 1 else 8 + 8 * b),
+    "gl2": Family("q", lambda q: (q * q - 1) * (q * q - q), gl2),
+    # through SL2(q)
+    "psl2": Family("q", lambda q: q * (q * q - 1) // (1 if q % 2 == 0 else 2), psl2,
+                   largest=lambda q: q * (q * q - 1)),
+    "frobenius": Family("p b q", lambda p, b, q: p ** max(b, 0) * q, frobenius),
+    "heisenberg_odd_p3": Family("p", lambda p: p**3, heisenberg_odd_p3),
+}
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    family: str
+    params: tuple[int, ...]
+
+    def __post_init__(self):
+        fam = FAMILIES.get(self.family)
+        if fam is None:
+            raise GroupError(f"unknown family {self.family!r}")
+        params = tuple(int(p) for p in self.params)
+        if len(params) != len(fam.params.split()) and not (fam.params.endswith("...") and params):
+            raise GroupError(f"{self.family} takes the parameters {fam.params}")
+        object.__setattr__(self, "params", params)
+
+    @property
+    def order(self) -> int:
+        """The order of the group, meaningful for parameters the constructor accepts."""
+        return FAMILIES[self.family].order(*self.params)
+
+    @property
+    def largest_table(self) -> int:
+        """The order of the largest table the construction holds."""
+        fam = FAMILIES[self.family]
+        return (fam.largest or fam.order)(*self.params)
+
+    def __str__(self):
+        return f"{self.family}({','.join(map(str, self.params))})"
 
 
 def zoo_build(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Build the group of ``spec``; a group above ``order_cap`` raises
-    ``GroupError`` before any table is built."""
-    if family_order(spec) > order_cap:
+    """Build the group of ``spec``.  A construction whose largest table is
+    above ``order_cap`` raises ``GroupError`` before any table is built."""
+    if spec.largest_table > order_cap:
         raise GroupError("group exceeds order cap")
-    fam, params = spec.family, spec.params
-    if fam == "cyclic":
-        (n,) = params
-        return cyclic(n)
-    if fam == "abelian":
-        return abelian(params)
-    if fam == "symmetric":
-        (n,) = params
-        return symmetric(n)
-    if fam == "alternating":
-        (n,) = params
-        return alternating(n)
-    if fam == "generalized_dihedral":
-        return generalized_dihedral(abelian(params))
-    if fam == "generalized_quaternion":
-        return generalized_quaternion(abelian(params), order_cap)
-    if fam == "heisenberg":
-        n, q = params
-        return heisenberg(n, q)
-    if fam == "extraspecial2":
-        a, b = params
-        return extraspecial2(a, b, order_cap)
-    if fam == "gl2":
-        (q,) = params
-        return gl2(q)
-    if fam == "psl2":
-        (q,) = params
-        return psl2(q)
-    if fam == "frobenius":
-        p, b, q = params
-        return frobenius(p, b, q)
-    if fam == "heisenberg_odd_p3":
-        (p,) = params
-        return heisenberg_odd_p3(p)
-    raise GroupError(f"unknown family {fam!r}")
+    return FAMILIES[spec.family].build(*spec.params)

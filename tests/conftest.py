@@ -34,8 +34,19 @@ def diagonal_subgroup(G, d, order_cap=DEFAULT_ORBIT_CAP):
         raise GroupError("group too large")
     P = G
     for _ in range(d):
-        P = direct_product(P, G, order_cap=order_cap)
+        P = direct_product(P, G)
     # element (g, ..., g) has index g * (n^d + n^(d-1) + ... + 1)
     weight = sum(n**i for i in range(d + 1))
     elements = tuple(sorted(g * weight for g in range(n)))
     return P, SubgroupSpec(elements=elements, order=n)
+
+
+def c2_power_table(n):
+    """The exchange-format character table of C2^n, chi_s(x) = (-1)^|s & x|."""
+    k = 2**n
+    sign = ("2:[0=1/1]", "2:[0=-1/1]")
+    lines = [f"order {k}", "exponent 2", f"classes {k}", "sizes" + " 1" * k,
+             "powermap2" + " 0" * k]
+    lines += ["chi: " + " | ".join(sign[bin(s & x).count("1") % 2] for x in range(k))
+              for s in range(k)]
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ from kronkit import kron
 from kronkit.chartab import IndicatorData, load_table
 from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.groupcore import load_group
+
+from conftest import c2_power_table
 
 REPORTS = Path(__file__).parent / "reports"
 
@@ -172,6 +176,16 @@ def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
     (("--group-file", "GROUP_FILE", "--order-cap", "5"), "group exceeds order cap"),
     (("--family", "symmetric", "--params", "3", "--d", "0"), "verify takes --d 1 or more"),
     (("--family", "symmetric", "--params", "3", "--d", "2", "-1"), "verify takes --d 1 or more"),
+    # argparse's own errors: exit 1 and one line, not exit 2 and a usage block
+    (("--family", "cyclic", "--params", "4", "--format", "xml"),
+     "kronkit verify: argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')"),
+    (("--family", "cyclic", "--params", "4", "--d", "x"),
+     "kronkit verify: argument --d: invalid int value: 'x'"),
+    (("--family", "cyclic", "--params", "4", "--battery", "b.txt"),
+     "kronkit: unrecognized arguments: --battery b.txt"),
+    (("--family", "frobenius", "--params", "4", "1", "3"), "p must be prime"),
+    (("--family", "symmetric", "--params", "3", "4"), "symmetric takes the parameters n"),
+    (("--family", "heisenberg", "--params", "1"), "heisenberg takes the parameters n q"),
 ])
 def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
     group_file = tmp_path / "g.grp"
@@ -180,6 +194,55 @@ def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
     assert main(["verify", *args]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: " + error + "\n"
+
+
+@pytest.mark.parametrize("battery,error", [
+    ("S3 symmetric 3\nC4\n", "battery line 2: need a label and a family"),
+    ("S3 symmetric three\n", "battery line 1: parameters must be integers"),
+])
+def test_scan_bad_battery_exit_codes(capsys, tmp_path, battery, error):
+    path = tmp_path / "battery.txt"
+    path.write_text(battery)
+    assert main(["scan", "--battery", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: " + error + "\n"
+
+
+# the options each subcommand reads, and so accepts
+COMMAND_OPTIONS = {
+    "build": "family params group-file order-cap out",
+    "chartab": "family params group-file table-file order-cap out",
+    "kron": "family params group-file table-file order-cap d irreps kappa-cap format out",
+    "classify": "family params group-file table-file order-cap orbit-cap kappa-cap format out",
+    "verify": "family params group-file table-file order-cap d subgroup-gens orbit-cap "
+              "kappa-cap format out",
+    "scan": "battery order-cap orbit-cap kappa-cap format out timings",
+}
+ALL_OPTIONS = set(" ".join(COMMAND_OPTIONS.values()).split())
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_each_subcommand_takes_only_the_options_it_reads(command):
+    accepted = set()
+    for option in ALL_OPTIONS:
+        value = {"family": ["cyclic"], "format": ["json"], "timings": []}.get(option, ["1"])
+        try:
+            build_parser().parse_args([command, "--" + option, *value])
+        except ValueError as exc:
+            assert "unrecognized arguments" in str(exc)
+            continue
+        accepted.add(option)
+    assert accepted == set(COMMAND_OPTIONS[command].split())
+    assert sum(len(v.split()) for v in COMMAND_OPTIONS.values()) == 48
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("kronkit ")]
+    assert len(lines) >= 6
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_exponent_not_dividing_order_is_a_one_line_error(capsys, tmp_path):
@@ -247,14 +310,7 @@ def test_scan_reports_match_the_recorded_bytes():
 
 
 def _c2_power_table(path, n):
-    """Write the character table of C2^n, chi_s(x) = (-1)^|s & x|."""
-    k = 2**n
-    sign = ("2:[0=1/1]", "2:[0=-1/1]")
-    lines = [f"order {k}", "exponent 2", f"classes {k}", "sizes" + " 1" * k,
-             "powermap2" + " 0" * k]
-    lines += ["chi: " + " | ".join(sign[bin(s & x).count("1") % 2] for x in range(k))
-              for s in range(k)]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(c2_power_table(n))
     return str(path)
 
 

@@ -101,13 +101,6 @@ def test_serialize_parse_round_trip():
         Cyclotomic.parse("not a value")
 
 
-def test_approx_matches_exponential():
-    import cmath
-
-    z = Cyclotomic.root(7, 2)
-    assert abs(z.approx() - cmath.exp(4j * cmath.pi / 7)) < 1e-12
-
-
 small = st.integers(min_value=-5, max_value=5)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -8,7 +9,7 @@ from kronkit.chartab import VerificationError, dump_table, fs_indicators, load_t
 from kronkit.groupcore import subgroup_closure
 from kronkit.orbits import double_cosets, frame_pair_count, simultaneous_classes
 
-from conftest import build, classified, diagonal_subgroup, table
+from conftest import build, c2_power_table, classified, diagonal_subgroup, table
 
 
 def test_kronecker_s3():
@@ -214,3 +215,22 @@ def test_sigma_values_are_indicators():
     for fam, params in [("symmetric", (5,)), ("cyclic", (7,)), ("psl2", (5,))]:
         fs = fs_indicators(table(fam, *params))
         assert set(fs.sigma) <= {-1, 0, 1}
+
+
+def test_conj_count_copies_no_tensor():
+    T = load_table(c2_power_table(5))  # 32 classes: the d=3 tensor holds 2^20 entries
+    t = kron.kappa_tensor(T, 3)
+    tracemalloc.start()
+    try:
+        rec = kron.conj_count(T, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.values == {"burnside": 32**3, "kappa_sq": 32**3}
+    assert peak < t.nbytes // 8
+
+
+def test_psl2_8_is_not_mftp():
+    # PSL2(8) = SL2(8), of order 504: a non-abelian simple group past q = 7
+    rec = classified(table("psl2", 8))["mftp_2"]
+    assert rec.values["char"] == 0 and rec.witness.endswith("=2")

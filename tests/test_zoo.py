@@ -11,7 +11,7 @@ from kronkit.groupcore import (
     subgroup_closure,
 )
 from kronkit.cli import _battery_entries
-from kronkit.zoo import FamilySpec, family_order, make_field, zoo_build
+from kronkit.zoo import FAMILIES, FamilySpec, make_field, zoo_build
 
 from conftest import build, rows
 
@@ -76,16 +76,19 @@ def test_make_field_rejects_non_prime_power():
     ("frobenius", (7, 1, 3), 21, 5),
     ("frobenius", (13, 1, 3), 39, 7),
     ("heisenberg_odd_p3", (3,), 27, 11),
+    # past the q <= 7 that gl2 once accepted: only the order cap bounds q
+    ("psl2", (9,), 360, 7),
+    ("gl2", (8,), 3528, 63),
 ])
 def test_family_orders_and_classes(family, params, order, classes):
     G = build(family, *params)
-    assert G.order == order == family_order(FamilySpec(family, params))
+    assert G.order == order == FamilySpec(family, params).order
     assert conjugacy_data(G).num_classes == classes
 
 
 def test_family_order_matches_battery():
     for _, family, params in _battery_entries(None):
-        assert family_order(FamilySpec(family, params)) == build(family, *params).order
+        assert FamilySpec(family, params).order == build(family, *params).order
 
 
 def test_order_cap_applies_before_building():
@@ -150,22 +153,77 @@ def test_zoo_build_rejects_unknown_family():
         zoo_build(FamilySpec("nonsense", ()))
 
 
+@pytest.mark.parametrize("family,params,names", [
+    ("symmetric", (3, 4), "n"),
+    ("heisenberg", (2,), "n q"),
+    ("frobenius", (), "p b q"),
+    ("abelian", (), "n..."),
+])
+def test_wrong_parameter_count_names_the_parameters(family, params, names):
+    with pytest.raises(GroupError, match=f"^{family} takes the parameters {names}$"):
+        FamilySpec(family, params)
+
+
 def test_intermediate_tables_are_capped():
     # ES32+ is D8 o D8 = (D8 x D8) / C2: the 64-element product is capped
     assert zoo_build(FamilySpec("extraspecial2", (2, 0)), order_cap=64).order == 32
-    with pytest.raises(GroupError, match="too large"):
+    with pytest.raises(GroupError, match="order cap"):
         zoo_build(FamilySpec("extraspecial2", (2, 0)), order_cap=63)
     # Q(C4) = (C4 x| C4) / C2: the 16-element semidirect product is capped
     assert zoo_build(FamilySpec("generalized_quaternion", (4,)), order_cap=16).order == 8
-    with pytest.raises(GroupError, match="too large"):
+    with pytest.raises(GroupError, match="order cap"):
         zoo_build(FamilySpec("generalized_quaternion", (4,)), order_cap=15)
+
+
+# (family, params, order of the largest table the construction holds)
+LARGEST_TABLES = [
+    ("cyclic", (12,), 12),
+    ("abelian", (2, 2, 3), 12),
+    ("symmetric", (4,), 24),
+    ("alternating", (5,), 60),
+    ("generalized_dihedral", (6,), 12),
+    ("generalized_quaternion", (6,), 24),  # C6 x| C4
+    ("heisenberg", (1, 3), 27),
+    ("extraspecial2", (0, 1), 16),  # Q8 through C4 x| C4
+    ("extraspecial2", (1, 1), 64),  # D8 x Q8
+    ("gl2", (3,), 48),
+    ("psl2", (5,), 120),  # SL2(5)
+    ("psl2", (4,), 60),  # SL2(4) = PSL2(4)
+    ("frobenius", (7, 1, 3), 21),
+    ("heisenberg_odd_p3", (3,), 27),
+]
+
+
+def test_every_family_has_a_largest_table_case():
+    assert {family for family, _, _ in LARGEST_TABLES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family,params,largest", LARGEST_TABLES)
+def test_order_cap_is_the_largest_table(monkeypatch, family, params, largest):
+    built = []
+    init = GroupTable.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.order)
+
+    monkeypatch.setattr(GroupTable, "__init__", recording_init)
+    spec = FamilySpec(family, params)
+    assert spec.largest_table == largest
+    assert zoo_build(spec, order_cap=largest).order == spec.order
+    assert max(built) == largest
+    built.clear()
+    with pytest.raises(GroupError, match="^group exceeds order cap$"):
+        zoo_build(spec, order_cap=largest - 1)
+    assert built == []  # refused before any table was built
 
 
 def test_default_cap_admits_every_tested_order():
     for _, family, params in _battery_entries(None):
-        assert family_order(FamilySpec(family, params)) <= DEFAULT_ORDER_CAP
-    for spec in (("gl2", (7,)), ("symmetric", (7,)), ("heisenberg", (1, 17))):
-        assert family_order(FamilySpec(*spec)) <= DEFAULT_ORDER_CAP
+        assert FamilySpec(family, params).largest_table <= DEFAULT_ORDER_CAP
+    for spec in (("gl2", (9,)), ("symmetric", (7,)), ("heisenberg", (1, 17)),
+                 ("psl2", (17,))):
+        assert FamilySpec(*spec).largest_table <= DEFAULT_ORDER_CAP
     with pytest.raises(GroupError, match="order cap"):
         zoo_build(FamilySpec("extraspecial2", (3, 3)))
 
