@@ -1,13 +1,20 @@
 """Exact character tables via the Dixon-Schneider method.
 
-Class-algebra structure matrices are diagonalized simultaneously over a
-prime field F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|); eigenvalue
-multiplicities of rho(g) are then recovered by a discrete Fourier lift and
-assembled into exact cyclotomic character values.  Both orthogonality
-relations are verified exactly before a table is returned, as int64 matrix
-products at every embedding of Z[zeta_e] into F_p (see ``modular``); the
-same engine validates imported tables and computes the Frobenius-Schur
-indicators, square-root counts and fixed-space dimensions.
+The class matrices A_j of the class algebra are diagonalized simultaneously
+over F_p, with p = 1 (mod exponent) and p > 2*sqrt(|G|), in int64 arithmetic
+mod p (``_dixon_prime`` holds the range argument).  The split starts from the
+whole space.  A_j is built only when the split reaches it, and is restricted
+to each subspace at the subspace's pivot columns.  One Gaussian elimination
+of every shifted restriction M - lambda I at once (``_echelon`` on a stack,
+in blocks) finds the eigenvalues, and the echelon forms at those lambda give
+the eigenspaces.  The common eigenvectors give every character mod p; one
+DFT matrix product mod p per element order turns these, for all irreps at
+once, into eigenvalue multiplicities of rho(g) and so into exact cyclotomic
+values.  Both orthogonality relations are verified exactly before a table
+is returned, as int64 matrix products at every embedding of Z[zeta_e] into
+F_p (see ``modular``); the same engine validates imported tables and
+computes the Frobenius-Schur indicators, square-root counts and fixed-space
+dimensions.
 """
 
 from __future__ import annotations
@@ -103,187 +110,177 @@ class CharacterTable:
         return perm[irrep]
 
 
-# -- modular linear algebra helpers ------------------------------------------
+# -- linear algebra over F_p --------------------------------------------------
 
 def _dixon_prime(e: int, n: int) -> int:
-    """Least prime p = 1 (mod e) with p > 2*sqrt(n)."""
+    """Least prime p = 1 (mod e) with p > 2*sqrt(n).
+
+    int64 range: every residue below lies in [0, p), and every int64 sum
+    adds at most n products of two residues: a class-matrix row times a
+    basis vector (k <= n classes), a DFT over an element order (o <= e <= n),
+    an entry under elimination (one product per column, k <= n columns).
+    n (p - 1)^2 < 2^63 keeps them all exact, so a larger p is refused; it
+    also keeps p below ``modular.MR_EXACT_BELOW``, where the prime test is
+    exact.
+    """
     p = e + 1
     while not (p * p > 4 * n and p > 2 and modular._is_prime(p)):
         p += e
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"the Dixon prime {p} is too large for int64 arithmetic "
+                         f"at order {n}")
     return p
 
 
-def _nullspace(mat, p: int):
-    """Basis of the nullspace of a square matrix over F_p (reduced form)."""
-    m = len(mat)
-    a = [row[:] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, m) if a[i][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] % p:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [0] * m
-        v[c] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-a[i][c]) % p
-        basis.append(v)
-    return basis
+def _inverse(x, p: int):
+    """x^(p-2) mod p elementwise: the inverse of every nonzero x, and 0 at 0."""
+    x = np.asarray(x, dtype=np.int64) % p
+    y = np.ones_like(x)
+    t = p - 2
+    while t:
+        if t & 1:
+            y = y * x % p
+        x = x * x % p
+        t >>= 1
+    return y
 
 
-def _column_reduce(vectors, p: int):
-    """Reduced column-echelon basis of span(vectors); returns (basis, pivot rows)."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        v = v[:]
-        for b, pr in zip(basis, pivots):
-            f = v[pr] % p
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        piv = next((i for i, x in enumerate(v) if x % p), None)
-        if piv is None:
-            continue
-        inv = pow(v[piv], p - 2, p)
-        v = [(x * inv) % p for x in v]
-        for b in basis:
-            f = b[piv] % p
-            if f:
-                for i in range(len(b)):
-                    b[i] = (b[i] - f * v[i]) % p
-        basis.append(v)
-        pivots.append(piv)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
+def _echelon(a, p: int):
+    """Reduced row echelon form over F_p of a matrix, or of every matrix of a
+    stack a[..., r, c] at once, and the mask [..., c] of its pivot columns."""
+    a = np.array(a, dtype=np.int64)
+    a %= p
+    shape = a.shape
+    r, c = shape[-2:]
+    a = a.reshape(-1, r, c)
+    b = np.arange(len(a))
+    rows = np.arange(r)
+    rank = np.zeros(len(a), dtype=np.intp)
+    pivot = np.zeros((len(a), c), dtype=bool)
+    inverse = _inverse(np.arange(p), p)
+    for col in range(c):
+        # the pivot row is the first row at or below the rank with a nonzero
+        # entry in col; left of col it is zero, and so is every row below it.
+        # Other entries are reduced at the end: each loses at most one
+        # product of residues per column, c <= n of them (``_dixon_prime``)
+        a[:, :, col] %= p
+        cand = (a[:, :, col] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        t = np.minimum(rank, r - 1)
+        i = np.where(has, cand.argmax(axis=1), t)
+        top = a[b, i, col:] % p * np.where(has, inverse[a[b, i, col]], 1)[:, None] % p
+        a[b, i] = a[b, t]
+        a[b, t, col:] = top
+        f = np.where(has[:, None] & (rows != t[:, None]), a[:, :, col], 0)
+        a[:, :, col:] -= f[:, :, None] * top[:, None, :]
+        pivot[:, col] = has
+        rank += has
+    a %= p
+    return a.reshape(shape), pivot.reshape(shape[:-2] + (c,))
+
+
+def _eigenvalues(M, p: int):
+    """(lambda, R, pivot) for every lambda in F_p, ascending, at which
+    M - lambda I is singular: R is its reduced echelon form, and pivot the
+    mask of R's pivot columns.
+
+    One elimination runs on every shifted matrix at once, in blocks of about
+    2^22 entries.
+    """
+    m = len(M)
+    step = max(1, 2**22 // (m * m))
+    found = []
+    for start in range(0, p, step):
+        lam = np.arange(start, min(start + step, p))
+        R, pivot = _echelon(M - lam[:, None, None] * np.eye(m, dtype=np.int64), p)
+        singular = pivot.sum(axis=1) < m
+        found += zip(lam[singular].tolist(), R[singular], pivot[singular])
+    return found
+
+
+def _eigenspace(R, pivot, p: int):
+    """(N, F): the rows N span the kernel of the reduced echelon form R with
+    pivot mask ``pivot``, and N[:, F] = I on its free columns F."""
+    F = np.flatnonzero(~pivot)
+    N = np.zeros((len(F), len(pivot)), dtype=np.int64)
+    N[:, F] = np.eye(len(F), dtype=np.int64)
+    N[:, pivot] = -R[:len(pivot) - len(F), F].T % p
+    return N, F
 
 
 # -- the Dixon-Schneider computation -----------------------------------------
 
-def _class_matrices(G: GroupTable, cd: ConjugacyData):
-    """A_j with (A_j)[i][k] = #{x in class_j : class(x^-1 * rep_k) = i}.
+def _split_eigenvectors(G: GroupTable, cd: ConjugacyData, p: int) -> np.ndarray:
+    """The common eigenvectors w of the class matrices A_j, scaled to w[0] = 1.
 
-    These satisfy A_j w = omega_j w for the eigenvalue vectors
-    w_i = |class_i| chi(g_i) / chi(1).
+    (A_j)[i, l] = #{x in class_j : class(x^-1 rep_l) = i}, and A_j w =
+    omega_j w for w_i = |class_i| chi(g_i) / chi(1).  A subspace is a basis
+    E (rows) with E[:, P] = I, so A_j E^T = E^T M for M = A_j[P] E^T; an
+    eigenspace N of M (N[:, F] = I) gives the subspace N E with columns
+    P[F].  A_j is built when the split reaches it, and only while some
+    subspace has dimension above 1.
     """
     k = cd.num_classes
-    class_of = np.array(cd.class_of)
+    class_of = np.asarray(cd.class_of)
     inv = np.asarray(G.inv)
-    # column kk of the bincount index: entry (i, kk) is at i * k + kk
     cols = np.arange(k)
-    mats = []
-    for j in range(k):
-        products = G.table[np.ix_(inv[class_of == j], cd.reps)]  # x^-1 rep_k
-        counts = np.bincount((class_of[products] * k + cols).ravel(), minlength=k * k)
-        mats.append(counts.reshape(k, k).tolist())
-    return mats
-
-
-def _split_eigenvectors(mats, p: int, k: int):
-    """Deterministic sequential eigenspace splitting; returns 1-dim vectors."""
-    subspaces = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
-    # a subspace is a list of column vectors (length-k lists), column-reduced
+    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
     for j in range(1, k):
-        if all(len(s) == 1 for s in subspaces):
+        if all(len(E) == 1 for E, _ in spaces):
             break
-        amod = [[v % p for v in row] for row in mats[j]]
-        new_subspaces = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                new_subspaces.append(basis)
+        products = G.table[np.ix_(inv[class_of == j], cd.reps)]  # x^-1 rep_l
+        A = np.bincount((class_of[products] * k + cols).ravel(),
+                        minlength=k * k).reshape(k, k) % p
+        split = []
+        for E, P in spaces:
+            M = A[P] @ E.T % p if len(E) > 1 else None
+            if M is None or (M == M[0, 0] * np.eye(len(E), dtype=np.int64)).all():
+                split.append((E, P))  # one eigenvalue: E does not split
                 continue
-            basis, pivots = _column_reduce(basis, p)
-            m = len(basis)
-            # restriction M of A_j to the subspace: A B = B M
-            imgs = []
-            for b in basis:
-                imgs.append([sum(amod[r][c] * b[c] for c in range(k)) % p
-                             for r in range(k)])
-            M = [[imgs[col][pr] for col in range(m)] for pr in pivots]
-            found = 0
-            for lam in range(p):
-                shifted = [[(M[i][j2] - (lam if i == j2 else 0)) % p
-                            for j2 in range(m)] for i in range(m)]
-                null = _nullspace(shifted, p)
-                if not null:
-                    continue
-                lifted = []
-                for v in null:
-                    lifted.append([sum(basis[t][r] * v[t] for t in range(m)) % p
-                                   for r in range(k)])
-                eig_basis, _ = _column_reduce(lifted, p)
-                new_subspaces.append(eig_basis)
-                found += len(eig_basis)
-                if found == m:
-                    break
-            if found != m:
+            found = [_eigenspace(R, pivot, p) for _, R, pivot in _eigenvalues(M, p)]
+            if sum(len(N) for N, _ in found) != len(E):
                 raise VerificationError("class matrix did not split over F_p")
-        subspaces = new_subspaces
-    if any(len(s) != 1 for s in subspaces):
+            split += [(N @ E % p, P[F]) for N, F in found]
+        spaces = split
+    if any(len(E) != 1 for E, _ in spaces):
         raise VerificationError("eigenspace splitting incomplete")
-    vectors = []
-    for (v,) in subspaces:
-        if v[0] % p == 0:
-            raise VerificationError("eigenvector vanishes on the identity class")
-        inv = pow(v[0], p - 2, p)
-        vectors.append([x * inv % p for x in v])
-    return vectors
+    W = np.concatenate([E for E, _ in spaces])
+    if not W[:, 0].all():
+        raise VerificationError("eigenvector vanishes on the identity class")
+    return W * _inverse(W[:, :1], p) % p
 
 
-def _power_classes(G: GroupTable, cd: ConjugacyData) -> list[list[int]]:
-    """pcls[j][t] = class of rep_j^t, for 0 <= t < the order of rep_j."""
-    reps = np.array(cd.reps)
-    class_of = np.array(cd.class_of)
+def _lift(chi, degrees, G: GroupTable, cd: ConjugacyData, p: int, z: int, e: int):
+    """Power-basis coefficients [irrep, class, :] of every character from its
+    values chi mod p, by eigenvalue multiplicities.
+
+    For a class of order o, the multiplicity of zeta_o^m in rho(g) is
+    (1/o) sum_t chi(g^t) zeta_o^(-mt): one DFT product mod p per element
+    order, for all irreps at once.  Multiplicities are checked to lie in
+    [0, degree], so a coefficient, a sum of o of them times power-basis
+    entries, is at most n^1.5 times the largest such entry in size.
+    """
+    reps = np.asarray(cd.reps)
+    class_of = np.asarray(cd.class_of)
     orders = G.orders[reps]
     x = np.zeros_like(reps)
-    columns = []
+    powers = []  # powers[t][j] = class of rep_j^t
     for _ in range(int(orders.max())):
-        columns.append(class_of[x])
+        powers.append(class_of[x])
         x = G.table[x, reps]
-    powers = np.stack(columns, axis=1)
-    return [row[:o] for row, o in zip(powers.tolist(), orders.tolist())]
-
-
-def _lift_character(pcls, chi_mod, degree, p, z, e):
-    """Exact cyclotomic values from mod-p values via eigenvalue multiplicities;
-    ``pcls`` are the power classes of ``_power_classes``."""
-    basis = power_basis(e)
-    phi = euler_phi(e)
-    values = []
-    for pc in pcls:
-        o = len(pc)
-        zo = pow(z, e // o, p)
-        zo_inv = pow(zo, p - 2, p)
-        inv_o = pow(o, p - 2, p)
-        coeffs = [0] * phi
-        for m in range(o):
-            acc = 0
-            w = pow(zo_inv, m, p)
-            t_pow = 1
-            for t in range(o):
-                acc = (acc + chi_mod[pc[t]] * t_pow) % p
-                t_pow = t_pow * w % p
-            c = acc * inv_o % p
-            if c > degree:
-                raise VerificationError("eigenvalue multiplicity out of range")
-            if c:
-                row = basis[(m * (e // o)) % e]
-                for i in range(phi):
-                    if row[i]:
-                        coeffs[i] += c * row[i]
-        values.append(Cyclotomic(e, coeffs))
-    return values
+    powers = np.stack(powers, axis=1)
+    basis = np.array(power_basis(e), dtype=np.int64)
+    coeffs = np.zeros((len(chi), len(reps), euler_phi(e)), dtype=np.int64)
+    for o in sorted(set(orders.tolist())):
+        J = np.flatnonzero(orders == o)
+        t = np.arange(o)
+        w = pow(z, e - e // o, p)  # zeta_o^-1
+        dft = np.array([pow(w, s, p) for s in range(o)], dtype=np.int64)[np.outer(t, t) % o]
+        mult = chi[:, powers[J, :o]] @ dft % p * pow(o, p - 2, p) % p
+        if (mult > degrees[:, None, None]).any():
+            raise VerificationError("eigenvalue multiplicity out of range")
+        coeffs[:, J] = mult @ basis[t * (e // o)]
+    return coeffs
 
 
 def _row_gram(T: CharacterTable, inverse_class=None):
@@ -332,25 +329,22 @@ def character_table(G: GroupTable) -> CharacterTable:
     n = G.order
     p = _dixon_prime(e, n)
     z = modular._root_of_unity(p, e)
-    mats = _class_matrices(G, cd)
-    vectors = _split_eigenvectors(mats, p, k)
-    pcls = _power_classes(G, cd)
-
-    inv_sizes = [pow(s, p - 2, p) for s in cd.sizes]
+    W = _split_eigenvectors(G, cd, p)
+    # chi(1)^2 = n / sum_j w_j w_j' / |class_j|, j' the class of the inverses
+    inv_sizes = _inverse(cd.sizes, p)
+    s = W * W[:, cd.inverse_class] % p @ inv_sizes % p
+    root = {d * d % p: d for d in range(1, isqrt(n) + 1)}  # p > 2 sqrt(n): one root each
+    degrees = [root.get(x) for x in (n % p * _inverse(s, p) % p).tolist()]
+    if None in degrees:
+        raise VerificationError("degree recovery failed")
+    degrees = np.array(degrees, dtype=np.int64)
+    coeffs = _lift(degrees[:, None] * W % p * inv_sizes % p, degrees, G, cd, p, z, e)
     chars = []
-    for w in vectors:
-        s = 0
-        for j in range(k):
-            s = (s + w[j] * w[cd.inverse_class[j]] * inv_sizes[j]) % p
-        deg_sq = n * pow(s, p - 2, p) % p
-        degree = next((d for d in range(1, isqrt(n) + 1) if d * d % p == deg_sq), None)
-        if degree is None:
-            raise VerificationError("degree recovery failed")
-        chi_mod = [degree * w[j] % p * inv_sizes[j] % p for j in range(k)]
-        values = _lift_character(pcls, chi_mod, degree, p, z, e)
+    for degree, rows in zip(degrees.tolist(), coeffs):
+        values = tuple(Cyclotomic(e, c) for c in rows.tolist())
         if values[0] != degree:
             raise VerificationError("lifted degree mismatch")
-        chars.append(Character(degree=degree, values=tuple(values)))
+        chars.append(Character(degree=degree, values=values))
 
     chars.sort(key=lambda ch: (ch.degree, ch.serialize_values()))
     if len(chars) != k:

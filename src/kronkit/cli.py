@@ -201,7 +201,9 @@ def cmd_classify(args) -> Report:
     return rep
 
 
-def _battery_entries(path: Optional[str]):
+def _battery_entries(path: Optional[str]) -> list[tuple[str, FamilySpec]]:
+    """(label, family spec) per line; a malformed line, an unknown family or a
+    wrong parameter count raises ``ValueError`` before any group is built."""
     if path:
         with open(path) as fh:
             text = fh.read()
@@ -220,17 +222,20 @@ def _battery_entries(path: Optional[str]):
             params = tuple(int(p) for p in parts[2:])
         except ValueError:
             raise ValueError(f"battery line {number}: parameters must be integers") from None
-        entries.append((parts[0], parts[1], params))
+        try:
+            entries.append((parts[0], FamilySpec(parts[1], params)))
+        except GroupError as exc:
+            raise ValueError(f"battery line {number}: {exc}") from None
     return entries
 
 
 def cmd_scan(args) -> Report:
     entries = _battery_entries(args.battery if args.battery != "bundled" else None)
     rep = Report(input=args.battery or "bundled")
-    for label, family, params in entries:
+    for label, spec in entries:
         t0 = time.perf_counter()
         try:
-            G = zoo_build(FamilySpec(family, params), args.order_cap)
+            G = zoo_build(spec, args.order_cap)
             T = character_table(G)
             ds = [1, 2] + ([3] if G.order <= 24 else [])
             for d in ds:

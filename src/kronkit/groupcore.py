@@ -62,6 +62,7 @@ class GroupTable:
         self.inv = tuple(inv.tolist())
         self.labels = tuple(labels) if labels is not None else None
         self._gens = None
+        self._orbit_partitions = {}  # by d, filled by orbits.simultaneous_classes
 
     # -- basic queries -----------------------------------------------------
 

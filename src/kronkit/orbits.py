@@ -43,10 +43,13 @@ def simultaneous_classes(G: GroupTable, d: int,
 
     Representatives are the least tuples of their orbits, in lexicographic
     order; an orbit is real when it holds the inverse of its representative.
+    The partition is computed once per group and d, and kept on G.
     """
     n = G.order
     if n**d > orbit_cap:
         raise GroupError("orbit space exceeds cap")
+    if d in G._orbit_partitions:
+        return G._orbit_partitions[d]
     gens = list(G.generating_set()) or [0]
     root = _kernels.conjugation_orbit_roots(G.table, G.inv, gens, n, d)
     reps = np.flatnonzero(root == np.arange(root.size, dtype=root.dtype))
@@ -54,13 +57,14 @@ def simultaneous_classes(G: GroupTable, d: int,
     inv = np.asarray(G.inv)
     inverses = np.ravel_multi_index(tuple(inv[c] for c in coords), (n,) * d)
     real_flags = root[inverses] == reps
-    return OrbitPartition(
+    G._orbit_partitions[d] = OrbitPartition(
         d=d,
         orbit_count=len(reps),
         real_orbit_count=int(real_flags.sum()),
         reps=tuple(zip(*(c.tolist() for c in coords))),
         real_flags=tuple(real_flags.tolist()),
     )
+    return G._orbit_partitions[d]
 
 
 def _coset_roots(G: GroupTable, K: SubgroupSpec, left: bool) -> np.ndarray:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, isqrt, prod
+from math import factorial, prod
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import modular
 from .groupcore import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -28,10 +29,6 @@ from .groupcore import (
     semidirect_product,
     subgroup_closure,
 )
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % t for t in range(2, isqrt(n) + 1))
 
 
 # -- finite fields -----------------------------------------------------------
@@ -341,9 +338,9 @@ def psl2(q: int) -> GroupTable:
 
 def frobenius(p: int, b: int, q: int) -> GroupTable:
     """C_p^b x| C_q with C_q acting as a primitive q-th root of F_{p^b}."""
-    if not _is_prime(p):
+    if not modular._is_prime(p):
         raise GroupError("p must be prime")
-    if not _is_prime(q):
+    if not modular._is_prime(q):
         raise GroupError("q must be prime")
     if b < 1:
         raise GroupError("b must be positive")
@@ -366,7 +363,7 @@ def frobenius(p: int, b: int, q: int) -> GroupTable:
 def heisenberg_odd_p3(p: int) -> GroupTable:
     """The non-Abelian group C_{p^2} x| C_p of order p^3 and exponent p^2
     (the generator of C_p acts by multiplication by 1+p)."""
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not modular._is_prime(p):
         raise GroupError("p must be an odd prime")
     A = cyclic(p * p)
     Cp = cyclic(p)

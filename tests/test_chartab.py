@@ -1,15 +1,20 @@
+import itertools
 import re
 from importlib import resources
 from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronkit import modular
 from kronkit.chartab import (
     CharacterTable,
     TableError,
+    _dixon_prime,
+    _eigenspace,
+    _eigenvalues,
     character_table,
     dim_fixed_space,
     dump_table,
@@ -55,6 +60,51 @@ def test_golden_tables_do_not_depend_on_the_root_of_unity(name, monkeypatch):
             monkeypatch.setattr(modular, "_root_of_unity",
                                 lambda p, e, a=a: pow(root(p, e), a, p))
             assert dump_table(character_table(build(family, *params))) == golden, a
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=m * m, max_size=m * m))
+    return np.array(entries, dtype=np.int64).reshape(m, m), p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_matrices_mod_p())
+@example((np.array([[1, 1], [0, 1]]), 5))                  # a Jordan block
+@example((np.array([[2, 1, 0], [0, 2, 1], [0, 0, 2]]), 3))
+@example((np.array([[0, 1], [0, 0]]), 2))
+@example((np.array([[0, 12], [1, 0]]), 13))                # x^2 + 1 splits mod 13
+@example((np.array([[0, 2], [1, 0]]), 3))                  # x^2 + 1 has no root mod 3
+def test_eigenvalues_match_brute_force(case):
+    # lambda is an eigenvalue iff some nonzero v in F_p^m has (M - lambda I) v = 0;
+    # the kernel vectors, counted by enumeration, number p^dim
+    M, p = case
+    m = len(M)
+    vectors = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64).T
+    found = {lam: _eigenspace(R, pivot, p)[0] for lam, R, pivot in _eigenvalues(M, p)}
+    kernels = {}
+    for lam in range(p):
+        count = int(((M - lam * np.eye(m, dtype=np.int64)) @ vectors % p == 0).all(axis=0).sum())
+        if count > 1:
+            kernels[lam] = count
+    assert sorted(found) == sorted(kernels)
+    for lam, N in found.items():
+        assert p ** len(N) == kernels[lam]
+        assert not ((M - lam * np.eye(m, dtype=np.int64)) @ N.T % p).any()
+
+
+def test_dixon_prime_int64_edge():
+    # p = 786433 is the least prime = 1 (mod 2^17), so it is the Dixon prime
+    # for every n < p^2 / 4; n (p - 1)^2 < 2^63 admits n up to 14913080
+    e = 2**17
+    p = next(q for q in range(e + 1, 10 * e, e) if modular._is_prime(q))
+    n = (2**63 - 1) // (p - 1) ** 2
+    assert (p, n) == (786433, 14913080) and 4 * (n + 1) < p * p
+    assert _dixon_prime(e, n) == p
+    with pytest.raises(ValueError, match="too large for int64"):
+        _dixon_prime(e, n + 1)
 
 
 def test_trivial_and_cyclic():
@@ -124,8 +174,8 @@ def test_conjugate_irrep_involution():
 def test_conjugate_irrep_by_classes_matches_conjugated_values():
     # a computed table reads rows at the inverse classes; the same table
     # without class data conjugates every value
-    for _, fam, params in _battery_entries(None):
-        T = table(fam, *params)
+    for _, spec in _battery_entries(None):
+        T = table(spec.family, *spec.params)
         U = CharacterTable(order=T.order, exponent=T.exponent, sizes=T.sizes,
                            powermap2=T.powermap2, irreps=T.irreps)
         k = T.num_classes

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import kron
+from kronkit import _kernels, kron
 from kronkit.chartab import IndicatorData, load_table
 from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.groupcore import load_group
@@ -116,6 +116,18 @@ def test_scan_small_manifest(capsys, tmp_path):
     assert all(r["agree"] for r in doc["records"])
 
 
+def test_scan_computes_each_orbit_partition_once(capsys, tmp_path, monkeypatch):
+    # conj_2 and doubly_real both read the d = 2 partition of each group
+    kernel = _kernels.conjugation_orbit_roots
+    calls = []
+    monkeypatch.setattr(_kernels, "conjugation_orbit_roots",
+                        lambda *args: calls.append(args[4]) or kernel(*args))
+    mf = tmp_path / "battery.txt"
+    mf.write_text("S3 symmetric 3\nC4 cyclic 4\n")
+    code, _ = run(capsys, "scan", "--battery", str(mf))
+    assert code == 0 and calls.count(2) == 2
+
+
 def test_scan_records_per_entry_errors(capsys, tmp_path):
     mf = tmp_path / "battery.txt"
     mf.write_text("BAD frobenius 5 1 3\nC2 cyclic 2\n")
@@ -199,6 +211,9 @@ def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
 @pytest.mark.parametrize("battery,error", [
     ("S3 symmetric 3\nC4\n", "battery line 2: need a label and a family"),
     ("S3 symmetric three\n", "battery line 1: parameters must be integers"),
+    # refused before any group is built, not recorded as a per-entry error
+    ("X symmetric 3 4\n", "battery line 1: symmetric takes the parameters n"),
+    ("S3 symmetric 3\nY nonsense 3\n", "battery line 2: unknown family 'nonsense'"),
 ])
 def test_scan_bad_battery_exit_codes(capsys, tmp_path, battery, error):
     path = tmp_path / "battery.txt"

@@ -317,7 +317,7 @@ def ref_subgroup_closure(G, seed):
 
 
 # every zoo group of order at most 720: the battery and a few larger ones
-ZOO = sorted({(f, p) for _, f, p in _battery_entries(None)} | {
+ZOO = sorted({(s.family, s.params) for _, s in _battery_entries(None)} | {
     ("symmetric", (6,)), ("alternating", (6,)), ("gl2", (4,)), ("gl2", (5,)),
     ("psl2", (4,)), ("heisenberg", (2, 3)), ("heisenberg", (1, 7)),
     ("extraspecial2", (2, 1)), ("generalized_quaternion", (3, 8)),
@@ -445,7 +445,7 @@ def ref_conjugacy_data(G, powers):
     return tuple(class_of), tuple(reps), tuple(sizes), inverse_class, power_class
 
 
-_CONJ_GROUPS = sorted({(f, p) for _, f, p in _battery_entries(None)} | {
+_CONJ_GROUPS = sorted({(s.family, s.params) for _, s in _battery_entries(None)} | {
     ("symmetric", (6,)), ("symmetric", (7,)), ("gl2", (7,))})
 
 

@@ -66,8 +66,8 @@ def _assert_same(got, want, label=""):
 
 
 def test_modular_matches_cyclotomic_on_battery():
-    for label, family, params in _battery_entries(None):
-        T = table(family, *params)
+    for label, spec in _battery_entries(None):
+        T = table(spec.family, *spec.params)
         _assert_same(_modular(T), _reference(T), label)
         # an imported table conjugates through the embedding -a instead
         assert _row_gram(T).tolist() == _row_gram(T, T.classes.inverse_class).tolist(), label

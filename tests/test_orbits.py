@@ -189,7 +189,7 @@ def _subgroups(G):
     return [subgroup_closure(G, s) for s in seeds]
 
 
-_COSET_GROUPS = sorted({(f, p) for _, f, p in _battery_entries(None)})
+_COSET_GROUPS = sorted({(s.family, s.params) for _, s in _battery_entries(None)})
 
 
 @pytest.mark.parametrize("fam,params", _COSET_GROUPS, ids=[f"{f}{p}" for f, p in _COSET_GROUPS])

@@ -87,8 +87,8 @@ def test_family_orders_and_classes(family, params, order, classes):
 
 
 def test_family_order_matches_battery():
-    for _, family, params in _battery_entries(None):
-        assert FamilySpec(family, params).order == build(family, *params).order
+    for _, spec in _battery_entries(None):
+        assert spec.order == build(spec.family, *spec.params).order
 
 
 def test_order_cap_applies_before_building():
@@ -219,8 +219,8 @@ def test_order_cap_is_the_largest_table(monkeypatch, family, params, largest):
 
 
 def test_default_cap_admits_every_tested_order():
-    for _, family, params in _battery_entries(None):
-        assert FamilySpec(family, params).largest_table <= DEFAULT_ORDER_CAP
+    for _, spec in _battery_entries(None):
+        assert spec.largest_table <= DEFAULT_ORDER_CAP
     for spec in (("gl2", (9,)), ("symmetric", (7,)), ("heisenberg", (1, 17)),
                  ("psl2", (17,))):
         assert FamilySpec(*spec).largest_table <= DEFAULT_ORDER_CAP
