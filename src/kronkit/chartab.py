@@ -9,23 +9,28 @@ of every shifted restriction M - lambda I at once (``_echelon`` on a stack,
 in blocks) finds the eigenvalues, and the echelon forms at those lambda give
 the eigenspaces.  The common eigenvectors give every character mod p; one
 DFT matrix product mod p per element order turns these, for all irreps at
-once, into eigenvalue multiplicities of rho(g) and so into exact cyclotomic
-values.  Both orthogonality relations are verified exactly before a table
-is returned, as int64 matrix products at every embedding of Z[zeta_e] into
-F_p (see ``modular``); the same engine validates imported tables and
-computes the Frobenius-Schur indicators, square-root counts and fixed-space
-dimensions.
+once, into eigenvalue multiplicities of rho(g) and so into the exact
+power-basis coefficients of every value at the exponent e.  A table keeps
+them as one int64 array [irrep, class, phi(e)], ``CharacterTable.coeffs``,
+from the lift to the output.  Both orthogonality relations are verified
+exactly before a table is returned, as int64 matrix products at every
+embedding of Z[zeta_e] into F_p (see ``modular``, which reads that array as
+it is); the same engine validates imported tables and computes the
+Frobenius-Schur indicators, square-root counts and fixed-space dimensions.
+The exchange format writes every value at the exponent e: ``load_table``
+parses each value with ``cyclo.Cyclotomic`` and promotes it to e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
 from . import modular
-from .cyclo import Cyclotomic, euler_phi, power_basis
+from .cyclo import Cyclotomic, euler_phi, format_value, power_basis
 from .groupcore import ConjugacyData, GroupTable, SubgroupSpec, conjugacy_data, is_subgroup
 
 
@@ -42,9 +47,6 @@ class Character:
     degree: int
     values: tuple[Cyclotomic, ...]
 
-    def serialize_values(self) -> tuple[str, ...]:
-        return tuple(v.serialize() for v in self.values)
-
 
 @dataclass(frozen=True)
 class IndicatorData:
@@ -56,18 +58,20 @@ class IndicatorData:
 class CharacterTable:
     """Irreducible characters plus class metadata.
 
-    ``group``/``classes`` are None for imported tables; everything the
-    counting formulas need (order, sizes, powermap2, values) is present
-    either way.
+    ``coeffs[i, c]`` holds the power-basis coefficients of chi_i(c) at the
+    table exponent e, an int64 array of shape (irreps, classes, phi(e)); the
+    degrees are ``coeffs[:, 0, 0]``.  ``group``/``classes`` are None for
+    imported tables; everything the counting formulas need (order, sizes,
+    powermap2, values) is present either way.
     """
 
-    def __init__(self, *, order, exponent, sizes, powermap2, irreps,
+    def __init__(self, *, order, exponent, sizes, powermap2, coeffs,
                  group=None, classes=None):
         self.order = order
         self.exponent = exponent
         self.sizes = tuple(sizes)
         self.powermap2 = tuple(powermap2)
-        self.irreps = tuple(irreps)
+        self.coeffs = coeffs
         self.group = group
         self.classes = classes
         self.fs: IndicatorData | None = None
@@ -79,7 +83,14 @@ class CharacterTable:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(ch.degree for ch in self.irreps)
+        return tuple(self.coeffs[:, 0, 0].tolist())
+
+    @cached_property
+    def irreps(self) -> tuple[Character, ...]:
+        """The characters as ``Cyclotomic`` values, built on first use."""
+        e = self.exponent
+        return tuple(Character(degree=row[0][0], values=tuple(Cyclotomic(e, v) for v in row))
+                     for row in self.coeffs.tolist())
 
     def value(self, irrep: int, cls: int) -> Cyclotomic:
         return self.irreps[irrep].values[cls]
@@ -87,26 +98,23 @@ class CharacterTable:
     def conjugate_irrep(self, irrep: int) -> int:
         """Index of the contragredient irrep (entrywise complex conjugate).
 
-        With class data, conj(chi)(g) = chi(g^-1): the conjugate row is the
-        row read at the inverse classes, and no value is conjugated.  An
-        imported table conjugates every value.
+        Complex conjugation maps zeta^i to zeta^(e - i), row (e - i) % e of
+        ``power_basis(e)``, so every conjugate row is one integer matrix
+        product, matched to a stored row by its bytes.
         """
         perm = self._cache.get("conj_irrep")
         if perm is None:
-            rows = [ch.serialize_values() for ch in self.irreps]
-            keys = {row: i for i, row in enumerate(rows)}
-            if self.classes is not None:
-                inverse = self.classes.inverse_class
-                conj_rows = [tuple(row[c] for c in inverse) for row in rows]
-            else:
-                conj_rows = [tuple(v.conjugate().serialize() for v in ch.values)
-                             for ch in self.irreps]
-            perm = []
-            for row in conj_rows:
-                if row not in keys:
-                    raise VerificationError("contragredient character missing")
-                perm.append(keys[row])
-            perm = self._cache["conj_irrep"] = tuple(perm)
+            e, phi = self.exponent, self.coeffs.shape[2]
+            galois = np.array(power_basis(e), dtype=np.int64)[(e - np.arange(phi)) % e]
+            # a conjugate coefficient is at most max|c| times a column L1
+            # norm of galois in size; below 2^63 no product or sum overflows
+            if int(abs(self.coeffs).max()) * int(abs(galois).sum(axis=0).max()) >= 2**63:
+                raise TableError("character values too large to conjugate in int64")
+            rows = {row.tobytes(): i for i, row in enumerate(self.coeffs)}
+            perm = tuple(rows.get(row.tobytes()) for row in self.coeffs @ galois)
+            if None in perm:
+                raise VerificationError("contragredient character missing")
+            self._cache["conj_irrep"] = perm
         return perm[irrep]
 
 
@@ -339,30 +347,18 @@ def character_table(G: GroupTable) -> CharacterTable:
         raise VerificationError("degree recovery failed")
     degrees = np.array(degrees, dtype=np.int64)
     coeffs = _lift(degrees[:, None] * W % p * inv_sizes % p, degrees, G, cd, p, z, e)
-    chars = []
-    for degree, rows in zip(degrees.tolist(), coeffs):
-        values = tuple(Cyclotomic(e, c) for c in rows.tolist())
-        if values[0] != degree:
-            raise VerificationError("lifted degree mismatch")
-        chars.append(Character(degree=degree, values=values))
-
-    chars.sort(key=lambda ch: (ch.degree, ch.serialize_values()))
-    if len(chars) != k:
-        raise VerificationError("wrong number of irreducible characters")
-    if sum(ch.degree**2 for ch in chars) != n:
-        raise VerificationError("sum of squared degrees mismatch")
-    for ch in chars:
-        if n % ch.degree:
-            raise VerificationError("degree does not divide group order")
-        if any(not v.is_integral() for v in ch.values):
-            raise VerificationError("character value not an algebraic integer")
-
+    if (coeffs[:, 0, 0] != degrees).any() or coeffs[:, 0, 1:].any():
+        raise VerificationError("lifted degree mismatch")
+    if (degrees**2).sum() != n or (n % degrees).any():
+        raise VerificationError("degrees do not divide the group order or square-sum to it")
+    # rows in the order of (degree, the values as written by dump_table)
+    keys = [(row[0][0], [format_value(e, v) for v in row]) for row in coeffs.tolist()]
     T = CharacterTable(
         order=n,
         exponent=e,
         sizes=cd.sizes,
         powermap2=cd.power_class[2],
-        irreps=chars,
+        coeffs=coeffs[sorted(range(k), key=keys.__getitem__)],
         group=G,
         classes=cd,
     )
@@ -433,8 +429,8 @@ def dump_table(T: CharacterTable) -> str:
         "sizes " + " ".join(map(str, T.sizes)),
         "powermap2 " + " ".join(map(str, T.powermap2)),
     ]
-    for ch in T.irreps:
-        lines.append("chi: " + " | ".join(v.serialize() for v in ch.values))
+    for row in T.coeffs.tolist():
+        lines.append("chi: " + " | ".join(format_value(T.exponent, v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -470,39 +466,55 @@ def load_table(text: str) -> CharacterTable:
         raise TableError("format error: the exponent does not divide the order")
     if any(not 0 <= c < k for c in powermap2):
         raise TableError("format error: powermap out of range")
-    irreps = []
+    # phi(e) >= sqrt(e / 2) for every e, so phi(e) > MAX_TERMS whenever
+    # e > 2 MAX_TERMS^2: such an exponent is refused before it is factored
+    if exponent > 2 * modular.MAX_TERMS**2 or euler_phi(exponent) > modular.MAX_TERMS:
+        raise TableError(f"format error: phi(exponent) must be at most {modular.MAX_TERMS}")
+    coeffs = []
     for row in rows:
-        try:
-            vals = tuple(Cyclotomic.parse(v) for v in row.split("|"))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise TableError(f"format error: {exc}") from exc
-        if len(vals) != k:
+        values = row.split("|")
+        if len(values) != k:
             raise TableError("format error: wrong number of character values")
-        if any(exponent % v.e for v in vals):
-            raise TableError("format error: a value's conductor does not divide the exponent")
-        # the power basis is an integral basis of Z[zeta_e]
-        if not all(v.is_integral() for v in vals):
-            raise TableError("format error: character value not an algebraic integer")
-        deg = vals[0].coeffs[0]
-        if not vals[0].is_rational() or deg <= 0:
+        coeffs.append([_parse_value(v, exponent) for v in values])
+        if any(coeffs[-1][0][1:]) or coeffs[-1][0][0] <= 0:
             raise TableError("format error: bad character degree")
-        irreps.append(Character(degree=int(deg), values=vals))
     T = CharacterTable(
         order=order, exponent=exponent, sizes=sizes, powermap2=powermap2,
-        irreps=tuple(irreps),
+        coeffs=np.array(coeffs, dtype=np.int64),
     )
-    _validate_imported(T)
-    return T
-
-
-def _validate_imported(T: CharacterTable):
     try:
-        row = _row_gram(T)
+        gram = _row_gram(T)
     except ValueError as exc:  # beyond the int64 limits of the modular engine
         raise TableError(f"format error: {exc}") from exc
-    if row is None or (row != np.diag([T.order] * T.num_classes)).any():
+    if gram is None or (gram != np.diag([T.order] * T.num_classes)).any():
         raise TableError("orthogonality failed on import")
     try:
         fs_indicators(T)
     except VerificationError as exc:
         raise TableError(f"indicator check failed on import: {exc}") from exc
+    return T
+
+
+def _parse_value(text: str, e: int) -> list[int]:
+    """Power-basis coefficients at conductor e of one value of the exchange format.
+
+    A character value is a sum of chi(1) roots of unity, so a coefficient is
+    at most chi(1) r in size (r as in ``modular``).  Coefficients of 2^52 or
+    more are refused: below that, an L1 norm over at most 2^11 coefficients
+    stays below 2^63, as ``modular.TableImages`` needs.
+    """
+    try:
+        conductor = int(text.partition(":")[0])
+        if conductor < 1 or e % conductor:  # checked before parse sizes a list by it
+            raise ValueError("a value's conductor does not divide the exponent")
+        value = Cyclotomic.parse(text).promote(e)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise TableError(f"format error: {exc}") from exc
+    # the power basis is an integral basis of Z[zeta_e]
+    if not value.is_integral():
+        raise TableError("format error: character value not an algebraic integer")
+    coeffs = [int(c) for c in value.coeffs]
+    if any(abs(c) >= 2**52 for c in coeffs):
+        raise TableError("format error: a coefficient is not below 2^52 in size")
+    return coeffs
+

@@ -1,9 +1,12 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Exact arithmetic in cyclotomic fields Q(zeta_e): the parser of the
+exchange format and the reference arithmetic.
 
 Values are stored in the power basis 1, zeta, ..., zeta^(phi(e)-1) after
 reduction modulo the e-th cyclotomic polynomial, so equality at a common
 conductor is plain coefficient equality.  Rational coefficients use
-``fractions.Fraction``; everything is exact, no floats.
+``fractions.Fraction``; everything is exact, no floats.  ``format_value``
+is the one formatter of the exchange format, for Fractions and for the
+int64 coefficients of ``chartab.CharacterTable`` alike.
 """
 
 from __future__ import annotations
@@ -82,6 +85,13 @@ def power_basis(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def format_value(e: int, coeffs) -> str:
+    """The exchange form "e:[i=num/den,...]" of power-basis coefficients at
+    conductor e (ints or Fractions), listing the nonzero ones."""
+    parts = [f"{i}={c.numerator}/{c.denominator}" for i, c in enumerate(coeffs) if c]
+    return f"{e}:[{','.join(parts)}]"
+
+
 class Cyclotomic:
     """An exact element of Q(zeta_e) in reduced power-basis form."""
 
@@ -123,17 +133,18 @@ class Cyclotomic:
             return self
         if e_new % self.e:
             raise ValueError("can only promote to a multiple conductor")
-        step = e_new // self.e
-        basis = power_basis(e_new)
-        phi = euler_phi(e_new)
-        out = [Fraction(0)] * phi
+        return self._substitute(e_new, e_new // self.e)
+
+    def _substitute(self, e: int, k: int) -> "Cyclotomic":
+        """The value with zeta^i replaced by zeta_e^(i k) in every term."""
+        basis = power_basis(e)
+        out = [Fraction(0)] * euler_phi(e)
         for i, c in enumerate(self.coeffs):
             if c:
-                row = basis[(i * step) % e_new]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(e_new, out)
+                for j, b in enumerate(basis[(i * k) % e]):
+                    if b:
+                        out[j] += c * b
+        return Cyclotomic(e, out)
 
     @staticmethod
     def _common(a: "Cyclotomic", b) -> tuple["Cyclotomic", "Cyclotomic"]:
@@ -202,19 +213,9 @@ class Cyclotomic:
 
     def galois(self, k: int) -> "Cyclotomic":
         """Image under zeta_e -> zeta_e^k (requires gcd(k, e) = 1)."""
-        e = self.e
-        if gcd(k, e) != 1:
+        if gcd(k, self.e) != 1:
             raise ValueError("galois exponent must be coprime to conductor")
-        basis = power_basis(e)
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = basis[(i * k) % e]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(e, out)
+        return self._substitute(self.e, k)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta_e -> zeta_e^(-1)."""
@@ -252,12 +253,7 @@ class Cyclotomic:
     # -- serialization: "e:[i=num/den,...]" --------------------------------
 
     def serialize(self) -> str:
-        parts = [
-            f"{i}={c.numerator}/{c.denominator}"
-            for i, c in enumerate(self.coeffs)
-            if c != 0
-        ]
-        return f"{self.e}:[{','.join(parts)}]"
+        return format_value(self.e, self.coeffs)
 
     @staticmethod
     def parse(text: str) -> "Cyclotomic":

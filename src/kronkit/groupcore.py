@@ -81,6 +81,12 @@ class GroupTable:
             k += 1
         return orders
 
+    @cached_property
+    def class_roots(self) -> np.ndarray:
+        """root[x] = the least conjugate of x, from the orbit kernel at d = 1."""
+        gens = list(self.generating_set()) or [0]
+        return _kernels.conjugation_orbit_roots(self.table, self.inv, gens, self.order, 1)
+
     def element_order(self, x: int) -> int:
         return int(self.orders[x])
 
@@ -270,11 +276,10 @@ def validate_cayley(table, labels=None) -> GroupTable:
 
 
 def conjugacy_data(G: GroupTable, powers=(2,)) -> ConjugacyData:
-    """Conjugacy classes from the orbit kernel at d = 1, plus inverse/power
+    """Conjugacy classes from ``G.class_roots``, plus inverse/power
     class maps.  Classes are numbered by their least elements, the reps."""
     n = G.order
-    gens = list(G.generating_set()) or [0]
-    root = _kernels.conjugation_orbit_roots(G.table, G.inv, gens, n, 1)
+    root = G.class_roots
     reps = np.flatnonzero(root == np.arange(n))
     class_of = np.searchsorted(reps, root)
     sizes = np.bincount(class_of).tolist()

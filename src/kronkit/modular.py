@@ -48,6 +48,10 @@ int64 range.  Residues lie in [0, p) with p < 2^26, so a product of two is
 below 2^52 and a sum of up to 2^11 products is below 2^63.  Every
 contraction reduces its operands modulo p first and runs over phi(e)
 coefficients or over k classes or irreps, so both stay at most 2^11.
+
+``TableImages`` reads the table's int64 coefficient array ``T.coeffs``
+[irrep, class, phi(e)] as it is: one matrix product per prime maps it to
+every embedding.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import euler_phi, power_basis
+from .cyclo import power_basis
 
 PRIME_CEILING = 2**26  # residues below 2^26: products below 2^52
 MAX_TERMS = 2**11      # so 2^11 products sum below 2^63
@@ -105,23 +109,17 @@ class TableImages:
     """
 
     def __init__(self, T):
-        e, k = T.exponent, T.num_classes
-        phi = euler_phi(e)
+        e, (k, _, phi) = T.exponent, T.coeffs.shape
         if k > MAX_TERMS or phi > MAX_TERMS:
             raise ValueError(f"classes and phi(exponent) must be at most {MAX_TERMS} "
                              f"for int64 class sums (got {k} and {phi})")
         self.e = e
         self.units = [a for a in range(e) if gcd(a, e) == 1]
         self.conj = [self.units.index(-a % e) for a in self.units]
-        coeffs = np.empty((k, k, phi), dtype=object)
-        for i, ch in enumerate(T.irreps):
-            for c, v in enumerate(ch.values):
-                vv = v.promote(e)
-                if not vv.is_integral():
-                    raise ValueError("character value not an algebraic integer")
-                coeffs[i, c] = [int(x) for x in vv.coeffs]
-        self.coeffs = coeffs
-        self.l1 = [[sum(abs(x) for x in coeffs[i, c]) for c in range(k)] for i in range(k)]
+        self.coeffs = T.coeffs
+        # coefficients lie below 2^52 in size (``chartab._parse_value`` for
+        # imported tables), so a sum of at most 2^11 of them stays below 2^63
+        self.l1 = abs(T.coeffs).sum(axis=2).tolist()
         self.r = max(sum(abs(x) for x in row) for row in power_basis(e))
         self.primes: list[tuple[int, np.ndarray]] = []
 
@@ -147,7 +145,7 @@ class TableImages:
         # W[j, t] = z^(a_t j): the embedding a_t applied to zeta^j
         W = np.array([[pow(z, a * j, p) for a in self.units] for j in range(len(self.units))],
                      dtype=np.int64)
-        V = (self.coeffs % p).astype(np.int64) @ W % p
+        V = self.coeffs % p @ W % p
         self.primes.append((p, np.ascontiguousarray(V.transpose(2, 0, 1))))
 
     def at(self, bound: int) -> list[tuple[int, np.ndarray]]:

@@ -50,8 +50,9 @@ def simultaneous_classes(G: GroupTable, d: int,
         raise GroupError("orbit space exceeds cap")
     if d in G._orbit_partitions:
         return G._orbit_partitions[d]
-    gens = list(G.generating_set()) or [0]
-    root = _kernels.conjugation_orbit_roots(G.table, G.inv, gens, n, d)
+    # at d = 1, the roots that numbered the classes
+    root = G.class_roots if d == 1 else _kernels.conjugation_orbit_roots(
+        G.table, G.inv, list(G.generating_set()) or [0], n, d)
     reps = np.flatnonzero(root == np.arange(root.size, dtype=root.dtype))
     coords = np.unravel_index(reps, (n,) * d)
     inv = np.asarray(G.inv)

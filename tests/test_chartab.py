@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronkit import modular
+from kronkit import chartab, modular
 from kronkit.chartab import (
     CharacterTable,
     TableError,
+    VerificationError,
     _dixon_prime,
     _eigenspace,
     _eigenvalues,
@@ -22,7 +23,7 @@ from kronkit.chartab import (
     load_table,
 )
 from kronkit.cli import _battery_entries
-from kronkit.cyclo import Cyclotomic
+from kronkit.cyclo import Cyclotomic, euler_phi
 from kronkit.groupcore import subgroup_closure
 from kronkit.zoo import cyclic
 
@@ -172,15 +173,30 @@ def test_conjugate_irrep_involution():
 
 
 def test_conjugate_irrep_by_classes_matches_conjugated_values():
-    # a computed table reads rows at the inverse classes; the same table
-    # without class data conjugates every value
+    # the integer Galois matrix against Cyclotomic.conjugate, value by value,
+    # on every battery table and on a copy of it without class data
     for _, spec in _battery_entries(None):
         T = table(spec.family, *spec.params)
         U = CharacterTable(order=T.order, exponent=T.exponent, sizes=T.sizes,
-                           powermap2=T.powermap2, irreps=T.irreps)
-        k = T.num_classes
-        assert [T.conjugate_irrep(i) for i in range(k)] == [
-            U.conjugate_irrep(i) for i in range(k)]
+                           powermap2=T.powermap2, coeffs=T.coeffs)
+        rows = [list(ch.values) for ch in T.irreps]
+        for i, row in enumerate(rows):
+            assert rows[T.conjugate_irrep(i)] == [v.conjugate() for v in row]
+            assert U.conjugate_irrep(i) == T.conjugate_irrep(i)
+
+
+@pytest.mark.parametrize("c,error", [((2**63 - 1) // 1223, VerificationError),
+                                     ((2**63 - 1) // 1223 + 1, TableError)])
+def test_conjugate_irrep_int64_edge(c, error):
+    # at e = 1155 a column of the conjugation matrix has L1 norm 1223, so a
+    # coefficient c conjugates inside int64 while 1223 c < 2^63; the row
+    # c zeta has no conjugate row in this one-row table
+    coeffs = np.zeros((1, 1, 480), dtype=np.int64)
+    coeffs[0, 0, 1] = c
+    T = CharacterTable(order=1155, exponent=1155, sizes=(1155,), powermap2=(0,),
+                       coeffs=coeffs)
+    with pytest.raises(error):
+        T.conjugate_irrep(0)
 
 
 def test_dim_fixed_space():
@@ -236,12 +252,47 @@ S3_TEXT = resources.files("kronkit").joinpath("data/golden/S3.tbl").read_text()
     ("6:[]", "6:[0=1/0]", "format error"),
     ("chi: 6:[0=2/1]", "chi: 6:[1=1/1]", "degree"),
     ("exponent 6", "exponent 600006", "exponent does not divide the order"),
+    # int64 bound of imported coefficients: 2^52 - 1 passes it (and fails
+    # orthogonality), 2^52 does not
+    ("6:[0=2/1]", f"6:[0={2**52 - 1}/1]", "orthogonality"),
+    ("6:[0=2/1]", f"6:[0={2**52}/1]", r"2\^52"),
+    ("6:[0=2/1]", f"6:[0={-2**52}/1]", r"2\^52"),
 ])
 def test_load_table_input_contract(old, new, message):
     assert old in S3_TEXT
     load_table(S3_TEXT)
     with pytest.raises(TableError, match=message):
         load_table(S3_TEXT.replace(old, new, 1))
+
+
+def test_load_table_writes_values_at_the_exponent():
+    # zeta_3 = zeta_6^2 = zeta_6 - 1: written at conductor 3, dumped at 6
+    text = dump_table(table("cyclic", 6))
+    zeta3 = "6:[0=-1/1,1=1/1]"
+    assert zeta3 in text
+    U = load_table(text.replace(zeta3, "3:[1=1/1]"))
+    assert dump_table(U) == text
+
+
+def _one_class_table(e, value="1:[0=1/1]"):
+    return f"order {e}\nexponent {e}\nclasses 1\nsizes {e}\npowermap2 0\nchi: {value}\n"
+
+
+def test_load_table_phi_bound_edges(monkeypatch):
+    # phi(4096) = 2048 = MAX_TERMS passes the bound (and fails later, at the
+    # degree); phi(4097) = 3840 does not
+    assert modular.MAX_TERMS == 2048
+    with pytest.raises(TableError, match="bad character degree"):
+        load_table(_one_class_table(4096, "1:[0=0/1]"))
+    with pytest.raises(TableError, match=r"phi\(exponent\)"):
+        load_table(_one_class_table(4097))
+    # phi(e) >= sqrt(e / 2): above 2 MAX_TERMS^2 = 2^23 e is refused unfactored
+    factored = []
+    monkeypatch.setattr(chartab, "euler_phi", lambda e: factored.append(e) or euler_phi(e))
+    for e in (2**23, 2**23 + 1):
+        with pytest.raises(TableError, match=r"phi\(exponent\)"):
+            load_table(_one_class_table(e))
+    assert factored == [2**23]
 
 
 _TOKEN = re.compile(r"(\s+|[|:\[\],=/])")

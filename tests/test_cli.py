@@ -2,6 +2,8 @@ import hashlib
 import json
 import re
 import shlex
+import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from kronkit import _kernels, kron
 from kronkit.chartab import IndicatorData, load_table
 from kronkit.cli import build_parser, cmd_scan, main, render_report
+from kronkit.cyclo import Cyclotomic
 from kronkit.groupcore import load_group
 
 from conftest import c2_power_table
@@ -117,7 +120,8 @@ def test_scan_small_manifest(capsys, tmp_path):
 
 
 def test_scan_computes_each_orbit_partition_once(capsys, tmp_path, monkeypatch):
-    # conj_2 and doubly_real both read the d = 2 partition of each group
+    # conj_2 and doubly_real both read the d = 2 partition of each group;
+    # the classes and the conj_1 partition both read the d = 1 roots
     kernel = _kernels.conjugation_orbit_roots
     calls = []
     monkeypatch.setattr(_kernels, "conjugation_orbit_roots",
@@ -125,7 +129,24 @@ def test_scan_computes_each_orbit_partition_once(capsys, tmp_path, monkeypatch):
     mf = tmp_path / "battery.txt"
     mf.write_text("S3 symmetric 3\nC4 cyclic 4\n")
     code, _ = run(capsys, "scan", "--battery", str(mf))
-    assert code == 0 and calls.count(2) == 2
+    assert code == 0 and calls.count(1) == 2 and calls.count(2) == 2
+
+
+def test_scan_and_verify_build_no_cyclotomic(capsys, tmp_path, monkeypatch):
+    # character values stay one int64 coefficient array from the lift to the
+    # class sums; Cyclotomic only parses imported tables
+    init = Cyclotomic.__init__
+    calls = []
+    monkeypatch.setattr(Cyclotomic, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    mf = tmp_path / "battery.txt"
+    mf.write_text("S3 symmetric 3\nC4 cyclic 4\n")
+    assert run(capsys, "scan", "--battery", str(mf))[0] == 0
+    assert run(capsys, "verify", "--family", "symmetric", "--params", "4")[0] == 0
+    assert run(capsys, "kron", "--family", "cyclic", "--params", "5", "--d", "3")[0] == 0
+    assert main(["chartab", "--family", "cyclic", "--params", "5",
+                 "--out", str(tmp_path / "c5.tbl")]) == 0
+    assert calls == []
 
 
 def test_scan_records_per_entry_errors(capsys, tmp_path):
@@ -268,6 +289,28 @@ def test_exponent_not_dividing_order_is_a_one_line_error(capsys, tmp_path):
     assert main(["verify", "--table-file", str(tf)]) == 1
     assert capsys.readouterr().err == (
         "error: format error: the exponent does not divide the order\n")
+
+
+_HUGE = 998244353 * 1000000007
+_S3_TEXT = resources.files("kronkit").joinpath("data/golden/S3.tbl").read_text()
+
+
+@pytest.mark.parametrize("text,message", [
+    # phi(exponent) is refused before the exponent is factored
+    (f"order {_HUGE}\nexponent {_HUGE}\nclasses 1\nsizes {_HUGE}\npowermap2 0\n"
+     "chi: 1:[0=1/1]\n", "format error: phi(exponent) must be at most 2048"),
+    # a conductor is refused before parse allocates phi(conductor) coefficients
+    (_S3_TEXT.replace("6:[0=2/1]", "100000000003:[0=2/1]"),
+     "format error: a value's conductor does not divide the exponent"),
+], ids=["exponent", "conductor"])
+def test_oversized_exponent_or_conductor_is_a_quick_one_line_error(capsys, tmp_path,
+                                                                     text, message):
+    tf = tmp_path / "t.tbl"
+    tf.write_text(text)
+    start = time.perf_counter()
+    assert main(["verify", "--table-file", str(tf), "--d", "1"]) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_tampered_imported_table_is_a_one_line_error(capsys, tmp_path):
