@@ -169,8 +169,8 @@ def cmd_kron(args) -> Report:
         cr = kron.conj_count(T, d, args.kappa_cap)
         rep.records.append(Record(name=f"kappa_tensor_{d}", values={
             "sum_sq": cr.values["kappa_sq"], "burnside": cr.values["burnside"]}))
-        rep.records.append(Record(name=f"kappa_tensor_{d}_max",
-                                  values={"max": int(kron.kappa_tensor(T, d).max())}))
+        top = max(int(slab.max()) for slab in kron.kappa_slabs(T, d))
+        rep.records.append(Record(name=f"kappa_tensor_{d}_max", values={"max": top}))
     return rep
 
 

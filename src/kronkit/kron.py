@@ -3,8 +3,11 @@
 kappa(V_1,...,V_{d+1}) is always computed classwise from exact character
 values, as an int64 class sum modulo primes at every embedding of
 Z[zeta_e] into F_p, recovered exactly (see ``modular``).  The d=2
-coefficient tensor is the workhorse: one (k^2 x k) by (k x k) matrix
-product per embedding; the d=3 tensor is contracted from it.
+coefficient tensor t3 is the workhorse: one (k^2 x k) by (k x k) matrix
+product per embedding.  Every d=3 number is contracted from it in float64
+under one magnitude bound (``_t3_matrix``) and no k^4 tensor is held: the
+sums go through a k x k matrix or a k-vector, the maxima and witnesses
+through ``kappa_slabs``, one k^3 slab at a time.
 
 Every checked number is reported as a ``Record``: the values of its
 independent derivations, which must agree, and a note for each derivation
@@ -27,13 +30,14 @@ from . import modular
 from .chartab import CharacterTable, SubgroupSpec, VerificationError, dim_fixed_space, fs_indicators
 from .cyclo import euler_phi
 
-# Work bound for the kappa tensors (see ``over_kappa_cap``).  It admits a
-# tensor of at most 10^8 int64 entries, 800 MB.  Building and summing the
-# d=3 tensor peaked at 18.5 bytes per entry of it (ru_maxrss above the
-# interpreter's, an imported C2^6 table: 16.7M entries), about 1.85 GB at
-# the cap.
+# Work bound for the kappa sums (see ``over_kappa_cap``).  Only the d=2
+# tensor and a few arrays of its size are held.  ``classify`` peaked above
+# the interpreter's ru_maxrss by 10.6 MiB on an imported C2^6 table (k = 64,
+# 262K d=2 entries) and by 19.9 MiB on C3^4 (k = 81, 531K entries; the cap
+# admits k <= 100 at d = 3).
 DEFAULT_KAPPA_CAP = 10**8
 SKIPPED = "skipped: cap"
+SKIPPED_D = "skipped: d > 3"
 
 
 @dataclass(frozen=True)
@@ -120,49 +124,58 @@ def kappa_tensor3(T: CharacterTable) -> np.ndarray:
     return t3
 
 
-def kappa_tensor4(T: CharacterTable) -> np.ndarray:
-    """kappa(V_a, V_b, V_c, V_d) for all 4-tuples, via the d=2 tensor."""
-    t4 = T._cache.get("kappa4")
-    if t4 is not None:
-        return t4
-    t3 = kappa_tensor3(T)
-    k = T.num_classes
-    perm = [T.conjugate_irrep(w) for w in range(k)]
-    right = t3[perm].reshape(k, k * k)
-    top = int(t3.max())
-    if k * top * top < 2**53:
-        # kappa3 >= 0, so every product and partial sum of the k-term dot
-        # products is an integer in [0, k * top^2], which float64 holds exactly
-        right = right.astype(np.float64)
-        t4 = np.empty((k, k, k * k), dtype=np.int64)
-        for a in range(k):  # one (k x k) @ (k x k^2) slice keeps temporaries at k^3
-            t4[a] = t3[a].astype(np.float64) @ right
-    else:
-        t4 = t3.astype(object) @ right.astype(object)
-    t4 = t4.reshape(k, k, k, k)
-    T._cache["kappa4"] = t4
-    return t4
-
-
 def _sigma_vector(T: CharacterTable) -> np.ndarray:
     return np.array(fs_indicators(T).sigma, dtype=np.int64)
 
 
-def kappa_tensor(T: CharacterTable, d: int) -> np.ndarray:
-    """kappa over all (d+1)-tuples of irreps, for d = 2, 3."""
+def _t3_matrix(T: CharacterTable) -> tuple[np.ndarray, list[int]]:
+    """X = t3 as the (k^2 x k) float64 matrix X[(u, v), w], and the
+    conjugation permutation of the irreps.  The d=3 numbers are products of X."""
+    t3 = kappa_tensor3(T)
+    k = T.num_classes
+    # An entry of X^T X sums k^2 non-negative products of two kappas, one of a
+    # d=3 slab k of them, and one of (sigma (x) sigma)^T X sums k^2 kappas of
+    # either sign.  So while k^2 * top^2 < 2^53 (top the largest kappa), every
+    # partial sum, in whatever order BLAS adds, is an integer float64 holds
+    # exactly.  kappa(U, V, W) <= min(dim U, dim V, dim W), so group tables sit
+    # far below the bound: the battery's largest k^2 * top^2 is 2^14.4.
+    if k * k * int(t3.max()) ** 2 >= 2**53:
+        raise ValueError("kappa values too large for exact float64 sums (k^2 max^2 >= 2^53)")
+    return t3.reshape(k * k, k).astype(np.float64), [T.conjugate_irrep(w) for w in range(k)]
+
+
+def kappa_slabs(T: CharacterTable, d: int):
+    """kappa over all (d+1)-tuples of irreps, for d = 2, 3, one first irrep
+    a at a time: t3[a], or at d = 3 the (k x k x k) slab
+    kappa(a, b, c, d') = sum_w t3[a, b, w] t3[w', c, d'], w' conjugate to w."""
     if d == 2:
-        return kappa_tensor3(T)
-    if d == 3:
-        return kappa_tensor4(T)
-    raise ValueError("tuple-sum formulas are capped at d = 3")
+        return iter(kappa_tensor3(T))
+    if d != 3:
+        raise ValueError("tuple-sum formulas are capped at d = 3")
+    X, perm = _t3_matrix(T)
+    k = T.num_classes
+    t3 = X.reshape(k, k, k)
+
+    def slab(a):
+        # t3 is symmetric in its slots, so t3[w', c, d'] = t3[c, d', w']:
+        # permuting the columns of t3[a] pairs w with w'.  One c at a time
+        # keeps the float64 temporaries at k^2 entries
+        left = t3[a][:, perm]
+        out = np.empty((k, k, k), dtype=np.int64)
+        for c in range(k):
+            out[:, c] = left @ t3[c].T
+        return out
+
+    return map(slab, range(k))
 
 
 def over_kappa_cap(T: CharacterTable, d: int, cap: int) -> bool:
-    """True when the d-tuple sums would build kappa tensors above ``cap``.
+    """True when the d-tuple sums would do kappa work above ``cap``.
 
-    The work counts the entries of every tensor built: the d=2 tensor's k^3
-    once per pair of embeddings (phi(e)^2, its modular sums), and for d=3
-    also the k^4 of the d=3 tensor.  d = 1 builds no tensor.
+    The work counts the d=2 tensor's k^3 entries once per pair of
+    embeddings (phi(e)^2, its modular sums), and for d=3 also the k^4
+    entries of the d=3 tensor, computed a slab of k^3 at a time.  d = 1
+    builds no tensor.
     """
     if d not in (2, 3):
         return False
@@ -182,19 +195,20 @@ def conj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) ->
     rec = Record(f"conj_{d}", {"burnside": total // T.order})
     if d == 1:
         rec.values["kappa_sq"] = T.num_classes
+    elif d > 3:
+        rec.notes["kappa_sq"] = SKIPPED_D
     elif over_kappa_cap(T, d, kappa_cap):
         rec.notes["kappa_sq"] = SKIPPED
-    elif d in (2, 3):
-        # squares summed in Python ints: exact at any size.  The entries are
-        # non-negative (checked when the tensor is built), so bincount counts
-        # each value without sorting a copy; while every entry is below the
-        # number of entries, the counts take no more room than the tensor
-        t = kappa_tensor(T, d).ravel()
-        if t.dtype != object and t.max() < t.size:
-            counts = np.bincount(t).tolist()
-            rec.values["kappa_sq"] = sum(v * v * c for v, c in enumerate(counts) if c)
-        else:
-            rec.values["kappa_sq"] = sum(int(v) ** 2 for v in t)
+    else:
+        # with M = X^T X, the squares of t3 sum to trace(M); the d=3 tensor
+        # pairs column w of X with column w' (``kappa_slabs``), so its
+        # squares sum to sum_{w,v} M[w, v] M[w', v'].  Python ints: exact
+        X, perm = _t3_matrix(T)
+        M = (X.T @ X).astype(np.int64).tolist()
+        k = len(M)
+        rec.values["kappa_sq"] = (
+            sum(M[w][w] for w in range(k)) if d == 2 else
+            sum(M[w][v] * M[perm[w]][perm[v]] for w in range(k) for v in range(k)))
     return rec
 
 
@@ -208,31 +222,37 @@ def rconj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -
     s = _sigma_vector(T)
     if d == 1:
         rec.values["sigma_weighted"] = int((s * s).sum())
+    elif d > 3:
+        rec.notes["sigma_weighted"] = SKIPPED_D
     elif over_kappa_cap(T, d, kappa_cap):
         rec.notes["sigma_weighted"] = SKIPPED
-    elif d in (2, 3):
-        weighted = kappa_tensor(T, d)
-        for _ in range(d + 1):  # contract one sigma per irrep slot
-            weighted = weighted @ s
-        rec.values["sigma_weighted"] = int(weighted)
+    else:
+        # u[w] = sum_{a,b} sigma(a) sigma(b) t3[a, b, w]; the sum is u . sigma
+        # at d = 2 and sum_w u[w] u[w'] at d = 3.  Python ints: exact
+        X, perm = _t3_matrix(T)
+        u = (np.outer(s, s).ravel() @ X).astype(np.int64).tolist()
+        second = s.tolist() if d == 2 else [u[w] for w in perm]
+        rec.values["sigma_weighted"] = sum(x * y for x, y in zip(u, second))
     return rec
 
 
-def _first_lex(mask: np.ndarray):
-    """The lexicographically least index where ``mask`` holds, or None."""
-    first = int(mask.argmax())  # the first True in C (lexicographic) order
-    if not mask.flat[first]:
-        return None
-    return tuple(int(v) for v in np.unravel_index(first, mask.shape))
+def _least_witness(T: CharacterTable, d: int, bad) -> Optional[KroneckerResult]:
+    """The lexicographically least (d+1)-tuple of irreps where
+    ``bad(a, slab)`` holds, with its kappa, or None; stops at the first
+    slab that has one."""
+    for a, slab in enumerate(kappa_slabs(T, d)):
+        mask = bad(a, slab)
+        first = int(mask.argmax())  # the first True in C (lexicographic) order
+        if mask.flat[first]:
+            index = np.unravel_index(first, mask.shape)
+            return KroneckerResult(irreps=(a, *map(int, index)), value=int(slab[index]))
+    return None
 
 
 def is_mftp(T: CharacterTable, d: int = 2):
     """(all kappa <= 1, least witness tuple with kappa >= 2 otherwise)."""
-    t = kappa_tensor(T, d)
-    witness = _first_lex(t >= 2)
-    if witness is None:
-        return True, None
-    return False, KroneckerResult(irreps=witness, value=int(t[witness]))
+    witness = _least_witness(T, d, lambda a, slab: slab >= 2)
+    return witness is None, witness
 
 
 def is_d_real_char(T: CharacterTable, d: int):
@@ -245,15 +265,12 @@ def is_d_real_char(T: CharacterTable, d: int):
             if s[u] * s[T.conjugate_irrep(u)] != 1:
                 return False, KroneckerResult(irreps=(u, T.conjugate_irrep(u)), value=1)
         return True, None
-    t = kappa_tensor(T, d)
-    sp = s
-    for _ in range(d):
-        sp = np.multiply.outer(sp, s)
-    bad = (t >= 2) | ((t == 1) & (sp != 1))
-    witness = _first_lex(bad)
-    if witness is None:
-        return True, None
-    return False, KroneckerResult(irreps=witness, value=int(t[witness]))
+    rest = s  # the sigma product of the last d irreps of a tuple
+    for _ in range(d - 1):
+        rest = np.multiply.outer(rest, s)
+    witness = _least_witness(
+        T, d, lambda a, slab: (slab >= 2) | ((slab == 1) & (s[a] * rest != 1)))
+    return witness is None, witness
 
 
 def frame_verify(T: CharacterTable, K: SubgroupSpec) -> Record:
@@ -312,26 +329,14 @@ def combinatorial_profile(T: CharacterTable) -> CombinatorialProfile:
 
 def sign_law_violations(T: CharacterTable):
     """Triples of self-dual irreps U, V, W with multiplicity of W in U (x) V
-    equal to 1 but sigma(U) sigma(V) != sigma(W).  Must be empty (Lemma)."""
-    fs = fs_indicators(T)
-    t3 = kappa_tensor3(T)
-    s = np.array(fs.sigma, dtype=np.int64)
-    self_dual = np.array(
-        [T.conjugate_irrep(i) == i for i in range(T.num_classes)], dtype=bool
-    )
-    bad = []
-    k = T.num_classes
-    for u in range(k):
-        if not self_dual[u]:
-            continue
-        for v in range(k):
-            if not self_dual[v]:
-                continue
-            for w in range(k):
-                # multiplicity of W in U (x) V is kappa(U, V, W') = kappa(U, V, W)
-                if self_dual[w] and t3[u, v, w] == 1 and s[u] * s[v] != s[w]:
-                    bad.append((u, v, w))
-    return bad
+    equal to 1 but sigma(U) sigma(V) != sigma(W), in lexicographic order.
+    Must be empty (Lemma)."""
+    s = _sigma_vector(T)
+    self_dual = np.array([T.conjugate_irrep(i) == i for i in range(T.num_classes)])
+    # multiplicity of W in U (x) V is kappa(U, V, W') = kappa(U, V, W)
+    bad = (self_dual[:, None, None] & self_dual[:, None] & self_dual
+           & (kappa_tensor3(T) == 1) & ((s[:, None] * s)[:, :, None] != s))
+    return [tuple(map(int, triple)) for triple in np.argwhere(bad)]
 
 
 def _witness(wit: Optional[KroneckerResult]) -> Optional[str]:

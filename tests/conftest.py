@@ -1,10 +1,26 @@
 from functools import lru_cache
+from importlib import resources
 
 from kronkit import kron
 from kronkit.chartab import character_table
 from kronkit.groupcore import GroupError, SubgroupSpec, direct_product
 from kronkit.orbits import DEFAULT_ORBIT_CAP
 from kronkit.zoo import FamilySpec, zoo_build
+
+
+def battery():
+    """The bundled battery as (label, family, params) triples."""
+    text = resources.files("kronkit").joinpath("data/battery.txt").read_text()
+    out = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            parts = line.split()
+            out.append((parts[0], parts[1], tuple(int(p) for p in parts[2:])))
+    return out
+
+
+BATTERY = battery()
 
 
 @lru_cache(maxsize=None)

@@ -17,21 +17,7 @@ from kronkit.groupcore import SubgroupSpec, subgroup_closure
 from kronkit.orbits import double_cosets, frame_pair_count, simultaneous_classes
 from kronkit.zoo import FamilySpec
 
-from conftest import build, classified, diagonal_subgroup, rows, table
-
-
-def battery():
-    text = resources.files("kronkit").joinpath("data/battery.txt").read_text()
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            parts = line.split()
-            out.append((parts[0], parts[1], tuple(int(p) for p in parts[2:])))
-    return out
-
-
-BATTERY = battery()
+from conftest import BATTERY, build, classified, diagonal_subgroup, rows, table
 
 
 class report:

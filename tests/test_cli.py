@@ -367,12 +367,29 @@ def test_scan_reports_match_the_recorded_bytes():
         assert hashlib.sha256(text.encode()).hexdigest() == digests["scan." + fmt], fmt
 
 
+@pytest.mark.parametrize("label,argv", [
+    ("S4", ("--family", "symmetric", "--params", "4")),
+    ("GL2(3)", ("--family", "gl2", "--params", "3")),
+    ("Heisenberg(1,3)", ("--family", "heisenberg", "--params", "1", "3")),
+    ("C2^5", ("--table-file", "c2_5.tbl")),
+])
+def test_kron_reports_match_the_recorded_bytes(capsys, tmp_path, monkeypatch, label, argv):
+    monkeypatch.chdir(tmp_path)  # the import's path is part of the report
+    (tmp_path / "c2_5.tbl").write_text(c2_power_table(5))
+    code, out = run(capsys, "kron", *argv, "--d", "2", "3")
+    assert code == 0
+    digests = {name: digest for digest, name in
+               map(str.split, (REPORTS / "kron.sha256").read_text().splitlines())}
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[f"kron-{label}.json"]
+
+
 def _c2_power_table(path, n):
     path.write_text(c2_power_table(n))
     return str(path)
 
 
 SKIP = "skipped: cap"
+SKIP_D = "skipped: d > 3"
 
 
 @pytest.mark.parametrize("argv,code,expected", [
@@ -394,6 +411,13 @@ SKIP = "skipped: cap"
                  "error: kappa tensors exceed --kappa-cap 100000000", id="kron-C2^7-d3"),
     pytest.param(("kron", *S3, "--kappa-cap", "1"), 1,
                  "error: kappa tensors exceed --kappa-cap 1", id="kron-S3"),
+    # past d = 3 there is no kappa sum; the note says so, with or without a group
+    pytest.param(("verify", *S3, "--d", "4"), 0,
+                 {"conj_4": {"kappa_sq": SKIP_D}, "rconj_4": {"sigma_weighted": SKIP_D}},
+                 id="verify-S3-d4"),
+    pytest.param(("verify", "--table-file", "C2^7", "--d", "4"), 0,
+                 {"conj_4": {"kappa_sq": SKIP_D}, "rconj_4": {"sigma_weighted": SKIP_D}},
+                 id="verify-C2^7-d4"),
 ])
 def test_kappa_cap(capsys, tmp_path, argv, code, expected):
     argv = [_c2_power_table(tmp_path / "c2_7.tbl", 7) if a == "C2^7" else a for a in argv]

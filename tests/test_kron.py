@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from math import isqrt
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from kronkit import kron
-from kronkit.chartab import VerificationError, dump_table, fs_indicators, load_table
-from kronkit.groupcore import subgroup_closure
+from kronkit.chartab import (VerificationError, character_table, dump_table, fs_indicators,
+                              load_table)
+from kronkit.groupcore import direct_product, subgroup_closure
 from kronkit.orbits import double_cosets, frame_pair_count, simultaneous_classes
 
-from conftest import build, c2_power_table, classified, diagonal_subgroup, table
+from conftest import BATTERY, build, c2_power_table, classified, diagonal_subgroup, table
 
 
 def test_kronecker_s3():
@@ -47,13 +49,12 @@ def test_kappa_tensor_symmetry_and_cache():
 
 
 def test_kappa4_consistency_with_direct_sum():
-    T = table("symmetric", 3)
-    t4 = kron.kappa_tensor4(T)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    assert t4[a, b, c, d] == kron.kronecker(T, (a, b, c, d)).value
+    # C4 has two complex irreps, so the conjugation permutation is not trivial
+    for fam, params in [("symmetric", (3,)), ("cyclic", (4,))]:
+        T = table(fam, *params)
+        t4 = np.stack(list(kron.kappa_slabs(T, 3)))
+        for irreps in np.ndindex(t4.shape):
+            assert t4[irreps] == kron.kronecker(T, irreps).value, (fam, irreps)
 
 
 def _fresh_table(fam, *params):
@@ -61,30 +62,58 @@ def _fresh_table(fam, *params):
     return load_table(dump_table(table(fam, *params)))
 
 
+def _plant(T, t3):
+    """Plant ``t3`` as T's d=2 tensor; return it as nested Python ints."""
+    T._cache["kappa3"] = t3
+    return t3.tolist()
+
+
+def _kappa4(T, t):
+    """The d=3 tensor from the d=2 tensor ``t`` in Python ints:
+    kappa(a, b, c, d) = sum_w kappa(a, b, w) kappa(w', c, d)."""
+    k = T.num_classes
+    perm = [T.conjugate_irrep(w) for w in range(k)]
+    return {(a, b, c, d): sum(t[a][b][w] * t[perm[w]][c][d] for w in range(k))
+            for a, b, c, d in np.ndindex(k, k, k, k)}
+
+
 @pytest.mark.parametrize("above", [False, True])
 def test_kappa4_exact_at_float_bound(above):
-    # C3 has two complex irreps, so the conjugation permutation is not trivial
-    T = _fresh_table("cyclic", 3)
+    # C4: two self-dual irreps and a conjugate pair
+    T = _fresh_table("cyclic", 4)
     k = T.num_classes
-    top = isqrt((2**53 - 1) // k) + above  # k * top^2 < 2^53 exactly when not above
+    top = isqrt((2**53 - 1) // k**2) + above  # k^2 * top^2 < 2^53 exactly when not above
     rng = np.random.default_rng(0)
-    t3 = top - rng.integers(0, 2, size=(k, k, k))
+    r = rng.integers(0, 2, size=(k, k, k))
+    # symmetric in the three slots, as every kappa tensor is
+    t3 = top - sum(r.transpose(p) for p in itertools.permutations(range(3))) % 2
     t3[0, 0, 0] = top
-    T._cache["kappa3"] = t3
-    t4 = kron.kappa_tensor4(T)
-    assert t4.dtype == (object if above else np.int64)
-    perm = [T.conjugate_irrep(w) for w in range(k)]
-    for a, b, c, d in np.ndindex(k, k, k, k):
-        exact = sum(int(t3[a, b, w]) * int(t3[perm[w], c, d]) for w in range(k))
-        assert t4[a, b, c, d] == exact
+    t = _plant(T, t3)
+    if above:
+        for call in (kron.conj_count, kron.rconj_count, kron.kappa_slabs):
+            with pytest.raises(ValueError, match="too large"):
+                call(T, 3)
+        return
+    t4 = _kappa4(T, t)
+    s = fs_indicators(T).sigma
+    assert kron.conj_count(T, 2).values["kappa_sq"] == sum(
+        v * v for plane in t for row in plane for v in row)
+    assert kron.conj_count(T, 3).values["kappa_sq"] == sum(v * v for v in t4.values())
+    assert kron.rconj_count(T, 2).values["sigma_weighted"] == sum(
+        s[a] * s[b] * s[c] * t[a][b][c] for a, b, c in np.ndindex(k, k, k))
+    assert kron.rconj_count(T, 3).values["sigma_weighted"] == sum(
+        s[a] * s[b] * s[c] * s[d] * v for (a, b, c, d), v in t4.items())
+    slabs = np.stack(list(kron.kappa_slabs(T, 3)))
+    assert all(slabs[irreps] == v for irreps, v in t4.items())
 
 
 def test_conj_count_kappa_sq_exact_beyond_int64():
     T = _fresh_table("symmetric", 3)
-    t4 = np.full((3, 3, 3, 3), 2**40, dtype=object)
-    t4[0, 0, 0, 0] = 3**30
-    T._cache["kappa4"] = t4
-    assert kron.conj_count(T, 3).values["kappa_sq"] == 80 * 2**80 + 3**60
+    t3 = np.full((3, 3, 3), 2**20, dtype=np.int64)
+    t3[0, 0, 0] = 3**12
+    t4 = _kappa4(T, _plant(T, t3))
+    assert max(t4.values()) ** 2 > 2**63
+    assert kron.conj_count(T, 3).values["kappa_sq"] == sum(v * v for v in t4.values())
 
 
 @pytest.mark.parametrize("fam,params,d,count", [
@@ -219,15 +248,57 @@ def test_sigma_values_are_indicators():
 
 def test_conj_count_copies_no_tensor():
     T = load_table(c2_power_table(5))  # 32 classes: the d=3 tensor holds 2^20 entries
-    t = kron.kappa_tensor(T, 3)
+    k = T.num_classes
+    kron.kappa_tensor3(T)
     tracemalloc.start()
     try:
-        rec = kron.conj_count(T, 3)
+        conj, rconj = kron.conj_count(T, 3), kron.rconj_count(T, 3)
+        mftp, _ = kron.is_mftp(T, 3)
+        top = max(int(slab.max()) for slab in kron.kappa_slabs(T, 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rec.values == {"burnside": 32**3, "kappa_sq": 32**3}
-    assert peak < t.nbytes // 8
+    assert conj.values == {"burnside": k**3, "kappa_sq": k**3}
+    assert rconj.values == {"r_moment": k**3, "sigma_weighted": k**3}
+    assert mftp and top == 1
+    assert peak < k**4 * 8 // 8  # an eighth of the d=3 tensor
+
+
+def test_kappa_sums_equal_the_slab_sums():
+    P = direct_product(direct_product(build("symmetric", 3), build("symmetric", 3)),
+                       build("symmetric", 4))
+    tables = [table(fam, *params) for _, fam, params in BATTERY]
+    tables.append(load_table(dump_table(character_table(P))))  # an import: no group
+    for T in tables:
+        s = np.array(fs_indicators(T).sigma)
+        for d in (2, 3):
+            if kron.over_kappa_cap(T, d, kron.DEFAULT_KAPPA_CAP):
+                continue
+            rest = s[:, None] * s if d == 2 else s[:, None, None] * s[:, None] * s
+            kappa_sq = sigma_weighted = 0
+            for a, slab in enumerate(kron.kappa_slabs(T, d)):
+                assert slab.max() < 2**16  # so each slab's int64 sums are exact
+                kappa_sq += int((slab * slab).sum())
+                sigma_weighted += int(s[a]) * int((slab * rest).sum())
+            assert kron.conj_count(T, d).values["kappa_sq"] == kappa_sq
+            assert kron.rconj_count(T, d).values["sigma_weighted"] == sigma_weighted
+
+
+def test_sign_law_violations_lists_each_triple():
+    T = _fresh_table("generalized_quaternion", 6)  # a conjugate pair and a sigma = -1 irrep
+    k = T.num_classes
+    s = fs_indicators(T).sigma
+    assert -1 in s and any(T.conjugate_irrep(i) != i for i in range(k))
+    t3 = np.ones((k, k, k), dtype=np.int64)
+    q = s.index(-1)
+    t3[q, q, q] = 2  # sigma(q)^2 != sigma(q), but the multiplicity is not one
+    t3[0, q, 0] = 0
+    _plant(T, t3)
+    expected = [(u, v, w) for u, v, w in np.ndindex(k, k, k)
+                if all(T.conjugate_irrep(i) == i for i in (u, v, w))
+                and t3[u, v, w] == 1 and s[u] * s[v] != s[w]]
+    assert len(expected) > 1
+    assert kron.sign_law_violations(T) == expected
 
 
 def test_psl2_8_is_not_mftp():
