@@ -3,11 +3,14 @@
 The orbits are the connected components of the graph that the generating
 permutations span, found by min-label propagation with pointer jumping
 (Shiloach and Vishkin, J. Algorithms 3 (1982) 57-67) as whole-array passes.
-Conjugacy classes, simultaneous conjugacy and double cosets all run on it.
+Conjugacy classes (``conjugation_orbit_roots`` at d = 1) and left and
+double cosets run on it.  Simultaneous conjugacy on G^d for d >= 2 does not:
+``orbits.simultaneous_classes`` takes minima over centralizers of the
+``tuple_map`` arrays, with no propagation.
 
 For G acting on G^d by simultaneous conjugation, a d-tuple (x_1, ..., x_d)
 has the tuple index t = x_1 n^(d-1) + ... + x_d (n = |G|), so index order
-is lexicographic order on tuples.  Each generator g of G acts on tuple
+is lexicographic order on tuples.  Each element g of G acts on tuple
 indices as a permutation, built from x -> g x g^-1 on single elements.
 """
 
@@ -29,11 +32,12 @@ def index_dtype(size: int):
 
 def tuple_map(perm, n: int, d: int, dtype) -> np.ndarray:
     """Tuple-index permutation of G^d induced by the element permutation ``perm``
-    acting on every coordinate; ``dtype`` must hold n^d - 1."""
+    acting on every coordinate; ``dtype`` must hold n^d - 1.  A stack of
+    permutations, shape (..., n), gives the stack of their maps, (..., n^d)."""
     perm = np.asarray(perm, dtype=dtype)
     out = perm
     for _ in range(d - 1):
-        out = np.add.outer(out * n, perm).ravel()
+        out = (out[..., :, None] * n + perm[..., None, :]).reshape(*perm.shape[:-1], -1)
     return out
 
 

@@ -50,14 +50,13 @@ def simultaneous_classes(G: GroupTable, d: int,
         raise GroupError("orbit space exceeds cap")
     if d in G._orbit_partitions:
         return G._orbit_partitions[d]
-    # at d = 1, the roots that numbered the classes
-    root = G.class_roots if d == 1 else _kernels.conjugation_orbit_roots(
-        G.table, G.inv, list(G.generating_set()) or [0], n, d)
-    reps = np.flatnonzero(root == np.arange(root.size, dtype=root.dtype))
+    if d == 1:  # the roots that numbered the classes
+        root = G.class_roots
+        reps = np.flatnonzero(root == np.arange(n))
+        real_flags = root[np.asarray(G.inv)[reps]] == reps
+    else:
+        reps, real_flags = _least_tuples(G, d)
     coords = np.unravel_index(reps, (n,) * d)
-    inv = np.asarray(G.inv)
-    inverses = np.ravel_multi_index(tuple(inv[c] for c in coords), (n,) * d)
-    real_flags = root[inverses] == reps
     G._orbit_partitions[d] = OrbitPartition(
         d=d,
         orbit_count=len(reps),
@@ -66,6 +65,56 @@ def simultaneous_classes(G: GroupTable, d: int,
         real_flags=tuple(real_flags.tolist()),
     )
     return G._orbit_partitions[d]
+
+
+def _least_tuples(G: GroupTable, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, real_flags) of the orbits of G^d (d >= 2): each orbit's least
+    tuple index, ascending, and whether the orbit holds its inverse.
+
+    Exactness.  Tuple index order is lexicographic, so the least tuple of an
+    orbit starts with the least first coordinate in it: the class root c of
+    its first coordinates.  The orbit's tuples that start with c are
+    (c, h.s) for h in the centralizer C(c), where (c, s) is any one of them.
+    So its least tuple is (c, r) with r = min over h in C(c) of h.s, and the
+    representatives are exactly the (c, r) with r its own C(c)-minimum.  The
+    orbit is real iff it holds (c^-1, r^-1).  That needs c^-1 conjugate to
+    c, say g c^-1 g^-1 = c; then g.(c^-1, r^-1) = (c, g.r^-1) must lie in
+    C(c).r, i.e. have the C(c)-minimum r.
+
+    Memory.  The maps h.r hold n^d entries of index_dtype(n^(d-1)).  A
+    centralizer's rows are read in place when it is all of G and copied
+    otherwise; a proper subgroup has at most n/2 elements, so the copy holds
+    at most n^d / 2.  The rest, for one centralizer at a time, is a few
+    arrays of n^(d-1) and of its classes' share of the result.  So besides
+    the result the peak is about 3/2 n^d entries, at most 2 n^d; label
+    propagation over the tuple maps of a generating set held
+    (2 |gens| + 2) n^d.
+    """
+    n, t, inv = G.order, G.table, np.asarray(G.inv)
+    size = n ** (d - 1)
+    dtype = _kernels.index_dtype(size)
+    conj = t[t, inv[:, None]]  # conj[h, x] = h x h^-1
+    maps = _kernels.tuple_map(conj, n, d - 1, dtype)  # maps[h, r] = h.r on G^(d-1)
+    roots = np.flatnonzero(G.class_roots == np.arange(n))
+    commute = t[:, roots].T == t[roots]  # commute[i, h]: h c_i = c_i h
+    transport = t[:, inv[roots]].T == t[roots]  # transport[i, g]: g c_i^-1 = c_i g
+    self_inverse = transport.any(axis=1)  # c_i^-1 is conjugate to c_i
+    flips = conj[transport.argmax(axis=1)[:, None], inv].astype(dtype)  # x -> g x^-1 g^-1, least g
+    sharing = {}  # centralizer -> its classes; all classes of an abelian group share one
+    for i, centralizer in enumerate(commute):
+        sharing.setdefault(centralizer.tobytes(), []).append(i)
+    reps, real = [None] * roots.size, [None] * roots.size
+    for classes in sharing.values():
+        centralizer = commute[classes[0]]
+        least = (maps if centralizer.all() else maps[centralizer]).min(axis=0)
+        r = np.flatnonzero(least == np.arange(size))
+        flip, flipped = flips[classes], np.zeros((len(classes), r.size), dtype)
+        for digit in np.unravel_index(r, (n,) * (d - 1)):
+            flipped = flipped * n + flip[:, digit]
+        real_rows = (least[flipped] == r) & self_inverse[classes, None]
+        for i, row in zip(classes, real_rows):
+            reps[i], real[i] = roots[i] * size + r, row
+    return np.concatenate(reps), np.concatenate(real)
 
 
 def _coset_roots(G: GroupTable, K: SubgroupSpec, left: bool) -> np.ndarray:

@@ -60,6 +60,18 @@ def test_criterion_2_identity_b_c():
                 assert rep.values["sigma_weighted"] == oracle, (label, d)
 
 
+@pytest.mark.parametrize("fam,q,count,real", [("psl2", 7, 28411, 1397),
+                                               ("gl2", 4, 99225, 1093)])
+def test_identities_at_d3_past_the_battery(fam, q, count, real):
+    # criteria 1 and 2 at d = 3 on groups of order 168 and 180
+    G, T = build(fam, q), table(fam, q)
+    op = simultaneous_classes(G, 3)
+    assert (op.orbit_count, op.real_orbit_count) == (count, real)
+    conj, rconj = kron.conj_count(T, 3).values, kron.rconj_count(T, 3).values
+    assert conj["burnside"] == conj["kappa_sq"] == count
+    assert rconj["r_moment"] == rconj["sigma_weighted"] == real
+
+
 def test_criterion_3_generalized_quaternion_series():
     with report(3, "Q(C_2n) structure, conj_2 formula, and double-reality law"):
         for n in range(2, 9):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import _kernels, kron
+from kronkit import _kernels, kron, orbits
 from kronkit.chartab import IndicatorData, load_table
 from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.cyclo import Cyclotomic
@@ -121,15 +121,19 @@ def test_scan_small_manifest(capsys, tmp_path):
 
 def test_scan_computes_each_orbit_partition_once(capsys, tmp_path, monkeypatch):
     # conj_2 and doubly_real both read the d = 2 partition of each group;
-    # the classes and the conj_1 partition both read the d = 1 roots
-    kernel = _kernels.conjugation_orbit_roots
-    calls = []
+    # the classes and the conj_1 partition both read the d = 1 roots, the
+    # only call of the label-propagation kernel
+    kernel, builder = _kernels.conjugation_orbit_roots, orbits._least_tuples
+    kernel_calls, built = [], []
     monkeypatch.setattr(_kernels, "conjugation_orbit_roots",
-                        lambda *args: calls.append(args[4]) or kernel(*args))
+                        lambda *args: kernel_calls.append(args[4]) or kernel(*args))
+    monkeypatch.setattr(orbits, "_least_tuples",
+                        lambda G, d: built.append((G.order, d)) or builder(G, d))
     mf = tmp_path / "battery.txt"
     mf.write_text("S3 symmetric 3\nC4 cyclic 4\n")
     code, _ = run(capsys, "scan", "--battery", str(mf))
-    assert code == 0 and calls.count(1) == 2 and calls.count(2) == 2
+    assert code == 0 and kernel_calls == [1, 1]
+    assert sorted(built) == [(4, 2), (4, 3), (6, 2), (6, 3)]
 
 
 def test_scan_and_verify_build_no_cyclotomic(capsys, tmp_path, monkeypatch):
@@ -390,6 +394,21 @@ def _c2_power_table(path, n):
 
 SKIP = "skipped: cap"
 SKIP_D = "skipped: d > 3"
+
+
+@pytest.mark.parametrize("cap", [13824, 13823])
+def test_orbit_cap_edge(capsys, cap):
+    # S4 at d = 3 has 24^3 = 13824 tuples: the oracle runs at a cap of exactly that
+    code, out = run(capsys, "verify", "--family", "symmetric", "--params", "4",
+                    "--d", "3", "--orbit-cap", str(cap))
+    assert code == 0
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    for name, orbit in (("conj_3", "681"), ("rconj_3", "419")):
+        if cap == 13824:
+            assert records[name]["values"]["orbit"] == orbit and "notes" not in records[name]
+        else:
+            assert "orbit" not in records[name]["values"]
+            assert records[name]["notes"] == {"orbit": SKIP}
 
 
 @pytest.mark.parametrize("argv,code,expected", [

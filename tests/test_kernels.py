@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronkit import _kernels
+from kronkit.orbits import simultaneous_classes
+from kronkit.zoo import symmetric
 
 from conftest import build, rows
 
@@ -72,6 +76,35 @@ def test_kernel_matches_bfs(fam, params, d):
 @given(st.sampled_from(SMALL), st.integers(1, 3))
 def test_kernel_matches_bfs_on_small_groups(group, d):
     _assert_matches_bfs(build(group[0], *group[1]), d)
+
+
+@pytest.mark.parametrize("fam,params", SMALL, ids=["-".join([f, *map(str, p)]) for f, p in SMALL])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simultaneous_classes_match_bfs(fam, params, d):
+    # cyclic 6, frobenius 7 1 3 and heisenberg_odd_p3 3 have non-real
+    # classes, so both sides of the real-flag test run
+    G = build(fam, *params)
+    n = G.order
+    root = bfs_orbit_roots(*_args(G, d))
+    reps = [t for t in range(n**d) if root[t] == t]
+    inverse = [sum(G.inv[t // n**i % n] * n**i for i in range(d)) for t in reps]
+    op = simultaneous_classes(G, d)
+    assert op.reps == tuple(tuple(int(x) for x in np.unravel_index(t, (n,) * d)) for t in reps)
+    assert op.real_flags == tuple(root[u] == t for t, u in zip(reps, inverse))
+    assert (op.orbit_count, op.real_orbit_count) == (len(reps), sum(op.real_flags))
+
+
+def test_simultaneous_classes_memory():
+    # S5 at d = 3: the maps of G^2 (n^d int32 entries), at most half of them
+    # copied for a proper centralizer, and the result stay under 2 n^d
+    G = symmetric(5)
+    tracemalloc.start()
+    try:
+        simultaneous_classes(G, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 120**3 * 4
 
 
 def test_roots_are_canonical():
