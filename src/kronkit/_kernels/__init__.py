@@ -3,10 +3,10 @@
 The orbits are the connected components of the graph that the generating
 permutations span, found by min-label propagation with pointer jumping
 (Shiloach and Vishkin, J. Algorithms 3 (1982) 57-67) as whole-array passes.
-Conjugacy classes (``conjugation_orbit_roots`` at d = 1) and left and
-double cosets run on it.  Simultaneous conjugacy on G^d for d >= 2 does not:
-``orbits.simultaneous_classes`` takes minima over centralizers of the
-``tuple_map`` arrays, with no propagation.
+Conjugacy classes (``conjugation_orbit_roots`` at d = 1) run on it.
+Nothing else does: simultaneous conjugacy on G^d for d >= 2 takes minima
+over centralizers of the ``tuple_map`` arrays (``orbits.simultaneous_classes``),
+and cosets take minima over the subgroup (``groupcore._coset_minima``).
 
 For G acting on G^d by simultaneous conjugation, a d-tuple (x_1, ..., x_d)
 has the tuple index t = x_1 n^(d-1) + ... + x_d (n = |G|), so index order

@@ -357,7 +357,7 @@ def character_table(G: GroupTable) -> CharacterTable:
         order=n,
         exponent=e,
         sizes=cd.sizes,
-        powermap2=cd.power_class[2],
+        powermap2=cd.powermap2,
         coeffs=coeffs[sorted(range(k), key=keys.__getitem__)],
         group=G,
         classes=cd,

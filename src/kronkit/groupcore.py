@@ -14,7 +14,7 @@ line first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import isqrt, lcm
 
@@ -87,9 +87,6 @@ class GroupTable:
         gens = list(self.generating_set()) or [0]
         return _kernels.conjugation_orbit_roots(self.table, self.inv, gens, self.order, 1)
 
-    def element_order(self, x: int) -> int:
-        return int(self.orders[x])
-
     def exponent(self) -> int:
         return reduce(lcm, set(self.orders.tolist()), 1)
 
@@ -97,11 +94,15 @@ class GroupTable:
         """A small deterministic generating set: greedily, the least element
         outside the subgroup the generators so far generate."""
         if self._gens is None:
-            self._gens = greedy_generators(self, range(self.order))
+            gens: list[int] = []
+            inside = np.zeros(self.order, dtype=bool)
+            inside[0] = True
+            outside = np.arange(self.order)
+            while (outside := outside[~inside[outside]]).size:
+                gens.append(int(outside[0]))
+                _close(self.table, inside, gens)
+            self._gens = tuple(gens)
         return self._gens
-
-    def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
 
     def validate(self) -> "GroupTable":
         """Identity and inverse checks, and Light's associativity test.
@@ -150,19 +151,6 @@ def _close(table: np.ndarray, inside: np.ndarray, gens) -> None:
         inside |= reached
 
 
-def greedy_generators(G: GroupTable, elements) -> tuple[int, ...]:
-    """Generators of the subgroup with the sorted ``elements``: greedily, the
-    least element outside the subgroup the generators so far generate."""
-    gens: list[int] = []
-    inside = np.zeros(G.order, dtype=bool)
-    inside[0] = True
-    outside = np.asarray(elements, dtype=np.intp)
-    while (outside := outside[~inside[outside]]).size:
-        gens.append(int(outside[0]))
-        _close(G.table, inside, gens)
-    return tuple(gens)
-
-
 @dataclass(frozen=True)
 class ConjugacyData:
     class_of: tuple[int, ...]
@@ -170,7 +158,7 @@ class ConjugacyData:
     sizes: tuple[int, ...]
     centralizer_orders: tuple[int, ...]
     inverse_class: tuple[int, ...]
-    power_class: dict[int, tuple[int, ...]] = field(compare=False)
+    powermap2: tuple[int, ...]  # the class of rep^2, for each class
 
     @property
     def num_classes(self) -> int:
@@ -275,35 +263,22 @@ def validate_cayley(table, labels=None) -> GroupTable:
     return G.validate()
 
 
-def conjugacy_data(G: GroupTable, powers=(2,)) -> ConjugacyData:
-    """Conjugacy classes from ``G.class_roots``, plus inverse/power
-    class maps.  Classes are numbered by their least elements, the reps."""
+def conjugacy_data(G: GroupTable) -> ConjugacyData:
+    """Conjugacy classes from ``G.class_roots``, plus the inverse and
+    squaring class maps.  Classes are numbered by their least elements, the reps."""
     n = G.order
     root = G.class_roots
     reps = np.flatnonzero(root == np.arange(n))
     class_of = np.searchsorted(reps, root)
     sizes = np.bincount(class_of).tolist()
-    power_class = {p: tuple(class_of[_power(G.table, reps, p)].tolist())
-                   for p in map(int, set(powers) | {2})}
     return ConjugacyData(
         class_of=tuple(class_of.tolist()),
         reps=tuple(reps.tolist()),
         sizes=tuple(sizes),
         centralizer_orders=tuple(n // s for s in sizes),
         inverse_class=tuple(class_of[np.asarray(G.inv)[reps]].tolist()),
-        power_class=power_class,
+        powermap2=tuple(class_of[G.table[reps, reps]].tolist()),
     )
-
-
-def _power(table: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
-    """x^k for every x in ``xs`` (k >= 0), by repeated squaring."""
-    out, base = np.zeros_like(xs), xs
-    while k:
-        if k & 1:
-            out = table[out, base]
-        base = table[base, base]
-        k >>= 1
-    return out
 
 
 def subgroup_closure(G: GroupTable, seed) -> SubgroupSpec:
@@ -367,16 +342,24 @@ def semidirect_product(A: GroupTable, H: GroupTable, action) -> GroupTable:
     return GroupTable(table.reshape(n * m, n * m))
 
 
+def _coset_minima(G: GroupTable, K: SubgroupSpec) -> np.ndarray:
+    """least[x] = the least element of the coset x K, for every x.
+
+    Reads the |K| columns of K at once: n |K| int32 entries, at most one table.
+    """
+    if not is_subgroup(G, K):
+        raise GroupError("not a subgroup")
+    return G.table[:, np.array(K.elements, dtype=np.intp)].min(axis=1)
+
+
 def quotient_group(G: GroupTable, N: SubgroupSpec):
     """G/N with cosets indexed by their least element. Returns (Q, projection)."""
-    if not is_subgroup(G, N):
-        raise GroupError("not a subgroup")
+    least = _coset_minima(G, N)
     t, els = G.table, np.array(N.elements, dtype=np.intp)
     conj = t[t[:, els], np.asarray(G.inv)[:, None]]  # [g, x] = g x g^-1
     if not _mask(G, els)[conj].all():
         raise GroupError("subgroup not normal")
     # coset gN is numbered by the rank of its least element
-    least = t[:, els].min(axis=1)
     coset_reps = np.flatnonzero(least == np.arange(G.order))
     proj = np.searchsorted(coset_reps, least)
     return GroupTable(proj[t[np.ix_(coset_reps, coset_reps)]]), tuple(proj.tolist())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .groupcore import GroupError, GroupTable, SubgroupSpec, greedy_generators, is_subgroup
+from .groupcore import GroupError, GroupTable, SubgroupSpec, _coset_minima
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -21,8 +21,6 @@ class OrbitPartition:
     d: int
     orbit_count: int
     real_orbit_count: int
-    reps: tuple[tuple[int, ...], ...]
-    real_flags: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -41,9 +39,9 @@ def simultaneous_classes(G: GroupTable, d: int,
                          orbit_cap: int = DEFAULT_ORBIT_CAP) -> OrbitPartition:
     """Exact orbit partition of G^d under simultaneous conjugation.
 
-    Representatives are the least tuples of their orbits, in lexicographic
-    order; an orbit is real when it holds the inverse of its representative.
-    The partition is computed once per group and d, and kept on G.
+    Counts the orbits and the real orbits, those that hold the inverse of
+    their least tuple.  The partition is computed once per group and d, and
+    kept on G.
     """
     n = G.order
     if n**d > orbit_cap:
@@ -56,14 +54,8 @@ def simultaneous_classes(G: GroupTable, d: int,
         real_flags = root[np.asarray(G.inv)[reps]] == reps
     else:
         reps, real_flags = _least_tuples(G, d)
-    coords = np.unravel_index(reps, (n,) * d)
     G._orbit_partitions[d] = OrbitPartition(
-        d=d,
-        orbit_count=len(reps),
-        real_orbit_count=int(real_flags.sum()),
-        reps=tuple(zip(*(c.tolist() for c in coords))),
-        real_flags=tuple(real_flags.tolist()),
-    )
+        d=d, orbit_count=len(reps), real_orbit_count=int(real_flags.sum()))
     return G._orbit_partitions[d]
 
 
@@ -117,23 +109,15 @@ def _least_tuples(G: GroupTable, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(reps), np.concatenate(real)
 
 
-def _coset_roots(G: GroupTable, K: SubgroupSpec, left: bool) -> np.ndarray:
-    """root[x] = least element of K x K (``left``) or of x K, from the orbit
-    kernel on multiplication by K's generators and their inverses."""
-    if not is_subgroup(G, K):
-        raise GroupError("not a subgroup")
-    t, inv = G.table, np.asarray(G.inv)
-    perms = []
-    for k in greedy_generators(G, K.elements):
-        perms += [t[:, k], t[:, inv[k]]]  # x -> x k, x k^-1
-        if left:
-            perms += [t[k], t[inv[k]]]    # x -> k x, k^-1 x
-    return _kernels.orbit_roots(perms, G.order)
-
-
 def double_cosets(G: GroupTable, K: SubgroupSpec) -> DoubleCosetDecomposition:
-    """K\\G/K, each double coset represented by its least element."""
-    root = _coset_roots(G, K, left=True)
+    """K\\G/K, each double coset represented by its least element.
+
+    K x K is the union of the cosets (k x) K, so its least element is the
+    least of their minima.  The rows of K and their minima hold n |K| int32
+    entries each; for a proper subgroup, |K| <= n/2, that is one table.
+    """
+    least = _coset_minima(G, K)
+    root = least[G.table[list(K.elements)]].min(axis=0)
     reps = np.flatnonzero(root == np.arange(G.order))
     sizes = np.bincount(root)[reps]
     self_inverse = int((root[np.asarray(G.inv)[reps]] == reps).sum())
@@ -145,7 +129,7 @@ def double_cosets(G: GroupTable, K: SubgroupSpec) -> DoubleCosetDecomposition:
 
 def left_coset_map(G: GroupTable, K: SubgroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """(coset_of, coset_reps) for left cosets xK, reps in ascending order."""
-    root = _coset_roots(G, K, left=False)
+    root = _coset_minima(G, K)
     reps = np.flatnonzero(root == np.arange(G.order))
     return np.searchsorted(reps, root), reps
 

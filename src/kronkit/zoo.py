@@ -3,6 +3,11 @@ groups, symmetric/alternating, generalized dihedral D(A), generalized
 quaternion Q(A), Heisenberg groups over finite fields, extraspecial
 2-groups, GL2/PSL2, and Frobenius groups C_p^b x| C_q.
 
+The field-based families read ``make_field(q)``: F_q for prime powers
+q <= 49 as add, mul and neg arrays, built from the digit array of its
+elements, with the least monic irreducible modulus and the least primitive
+element.
+
 ``FAMILIES`` declares each family once: its parameters, its order, the order
 of the largest table its construction holds, and its constructor.
 ``zoo_build`` checks that largest table against the order cap before any
@@ -53,7 +58,10 @@ class FiniteField:
     """F_q as explicit add/mul tables; elements are indices 0..q-1.
 
     Element i encodes the polynomial sum(c_j x^j) with i = sum(c_j p^j);
-    0 and 1 are the additive and multiplicative identities.
+    0 and 1 are the additive and multiplicative identities.  ``add``,
+    ``mul`` and ``neg`` are read-only int32 arrays; ``modulus`` holds
+    (c_0, ..., c_{k-1}) of the monic modulus x^k + sum(c_j x^j), and ``exp``
+    the powers primitive^e for 0 <= e < q - 1.
     """
 
     def __init__(self, q: int):
@@ -61,116 +69,41 @@ class FiniteField:
         if q > 49:
             raise GroupError("field too large (q <= 49)")
         self.p, self.k, self.q = p, k, q
-        self.modulus = self._least_irreducible(p, k)
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self._coeffs(a)
-            for b in range(q):
-                cb = self._coeffs(b)
-                add[a][b] = self._index([(x + y) % p for x, y in zip(ca, cb)])
-                mul[a][b] = self._polymul(ca, cb)
-        self.add = tuple(tuple(r) for r in add)
-        self.mul = tuple(tuple(r) for r in mul)
-        self.neg = tuple(self.add[a].index(0) for a in range(q))
-        self.primitive = self._find_primitive()
+        digits = np.arange(q)[:, None] // p ** np.arange(k) % p  # [i, j] = c_j of i
 
-    def _coeffs(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        def index(c):  # the element with the digits c (mod p) in the last axis
+            return (c % p @ p ** np.arange(k)).astype(np.int32)
 
-    def _index(self, coeffs) -> int:
-        out = 0
-        for c in reversed(list(coeffs)):
-            out = out * self.p + (c % self.p)
-        return out
-
-    def _polymul(self, ca, cb) -> int:
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                conv[i + j] = (conv[i + j] + x * y) % p
-        # reduce by monic modulus of degree k
-        for m in range(2 * k - 2, k - 1, -1):
-            c = conv[m]
-            if c:
-                conv[m] = 0
-                for j in range(k):
-                    conv[m - k + j] = (conv[m - k + j] - c * self.modulus[j]) % p
-        return self._index(conv[:k])
-
-    @staticmethod
-    def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
-        """Lexicographically least monic irreducible of degree k over F_p.
-
-        Coefficients are (c_0, ..., c_{k-1}) of the non-leading part; lex
-        order is over that tuple read low degree first.
-        """
-        if k == 1:
-            return (0,)
-
-        def polymod(poly, mod):
-            poly = list(poly)
-            for m in range(len(poly) - 1, k - 1, -1):
-                c = poly[m]
-                if c:
-                    poly[m] = 0
-                    for j in range(k):
-                        poly[m - k + j] = (poly[m - k + j] - c * mod[j]) % p
-            return poly[:k]
-
-        def is_irreducible(mod) -> bool:
-            # no roots / no low-degree monic factors, by trial division
-            for deg in range(1, k // 2 + 1):
-                for t in range(p**deg):
-                    div = []
-                    tt = t
-                    for _ in range(deg):
-                        div.append(tt % p)
-                        tt //= p
-                    div.append(1)  # monic
-                    # long division remainder of mod-polynomial by div
-                    rem = [mod[j] for j in range(k)] + [1]
-                    for m in range(k, deg - 1, -1):
-                        c = rem[m]
-                        if c:
-                            rem[m] = 0
-                            for j in range(deg):
-                                rem[m - deg + j] = (rem[m - deg + j] - c * div[j]) % p
-                    if not any(rem[:deg]):
-                        return False
-            return True
-
-        for t in range(p**k):
-            mod = []
-            tt = t
-            for _ in range(k):
-                mod.append(tt % p)
-                tt //= p
-            if is_irreducible(tuple(mod)):
-                return tuple(mod)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _find_primitive(self) -> int:
-        target = self.q - 1
-        for a in range(1, self.q):
-            x, order = a, 1
-            while x != 1:
-                x = self.mul[x][a]
-                order += 1
-            if order == target:
-                return a
-        raise AssertionError("multiplicative group not cyclic")
-
-    def pow(self, a: int, k: int) -> int:
-        out = 1
-        for _ in range(k):
-            out = self.mul[out][a]
-        return out
+        self.add = index(digits[:, None] + digits)
+        self.neg = index(-digits)
+        # The candidate moduli f have the digits of t = 0, 1, ... as their
+        # low coefficients.  F_p[x]/(f) is a finite commutative ring, so it is
+        # a field iff it has no zero divisors.  If f = g h with deg g, deg h
+        # >= 1, then g h = 0 with g and h nonzero mod f; if f is irreducible,
+        # f divides no product of two nonzero residues.  So the first f whose
+        # products of nonzero elements are all nonzero is the least monic
+        # irreducible of degree k.
+        for c in digits:
+            # a b = sum_j a_j (x^j b); times x shifts the digits up and
+            # replaces x^k by -sum(c_j x^j)
+            xb, product = digits, 0
+            for j in range(k):
+                product = product + digits[:, None, j, None] * xb
+                xb = (np.pad(xb[:, :-1], ((0, 0), (1, 0))) - xb[:, -1:] * c) % p
+            mul = index(product)
+            if mul[1:, 1:].all():
+                break
+        self.modulus = tuple(c.tolist())
+        self.mul = mul
+        # power[a - 1, e] = a^e; a has order q - 1 iff a^e != 1 for 0 < e < q - 1
+        units = np.arange(1, q)
+        power = np.ones((q - 1, q - 1), dtype=np.int32)
+        for e in range(1, q - 1):
+            power[:, e] = mul[power[:, e - 1], units]
+        least = int((power[:, 1:] != 1).all(axis=1).argmax())
+        self.primitive, self.exp = least + 1, power[least]
+        for table in (self.add, self.neg, self.mul, self.exp):
+            table.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +181,7 @@ def heisenberg(n: int, q: int) -> GroupTable:
         raise GroupError("n must be positive")
     F = make_field(q)
     total = q ** (2 * n + 1)
-    add, mul = np.array(F.add, dtype=np.int32), np.array(F.mul, dtype=np.int32)
+    add, mul = F.add, F.mul
     # coordinate j of element i is its base-q digit j: x_0..x_{n-1}, y_0..y_{n-1}, z
     coords = np.arange(total)[:, None] // q ** np.arange(2 * n + 1) % q
     x, y, z = coords[:, :n], coords[:, n:2 * n], coords[:, 2 * n]
@@ -268,7 +201,7 @@ def central_product(G: GroupTable, H: GroupTable, zG: int, zH: int) -> GroupTabl
         raise GroupError("zG not central")
     if (H.table[:, zH] != H.table[zH]).any():
         raise GroupError("zH not central")
-    if G.element_order(zG) != H.element_order(zH):
+    if G.orders[zG] != H.orders[zH]:
         raise GroupError("central elements have different orders")
     P = direct_product(G, H)
     N = subgroup_closure(P, [zG * H.order + zH])
@@ -301,11 +234,11 @@ def extraspecial2(a: int, b: int) -> GroupTable:
 def gl2(q: int, det_one: bool = False) -> GroupTable:
     """GL2(F_q) (or SL2 when det_one), by enumerating invertible matrices."""
     F = make_field(q)
-    add, mul = np.array(F.add, dtype=np.int32), np.array(F.mul, dtype=np.int32)
+    add, mul = F.add, F.mul
     # matrix (a, b; c, d) has the base-q code ((a q + b) q + c) q + d
     codes = np.arange(q**4)
     a, b, c, d = (codes // q**i % q for i in (3, 2, 1, 0))
-    det = add[mul[a, d], np.array(F.neg)[mul[b, c]]]
+    det = add[mul[a, d], F.neg[mul[b, c]]]
     mats = codes[det == 1] if det_one else codes[det != 0]
     ident = q**3 + 1  # (1, 0; 0, 1), put first
     mats = np.concatenate(([ident], mats[mats != ident]))
@@ -326,9 +259,7 @@ def gl2(q: int, det_one: bool = False) -> GroupTable:
 
 def psl2(q: int) -> GroupTable:
     S = gl2(q, det_one=True)
-    F = make_field(q)
-    neg1 = F.neg[1]
-    if neg1 == 1:  # characteristic 2: PSL2 = SL2
+    if q % 2 == 0:  # characteristic 2: PSL2 = SL2
         return S
     # -I is the unique central involution of SL2 in odd characteristic
     N = subgroup_closure(S, [_central_involution(S)])
@@ -348,16 +279,10 @@ def frobenius(p: int, b: int, q: int) -> GroupTable:
     if (pb - 1) % q:
         raise GroupError("q must divide p^b - 1")
     F = make_field(pb)
-    w = F.pow(F.primitive, (pb - 1) // q)
     # additive group of F_{p^b}: element indices are field indices, 0 = identity
-    P = GroupTable([[F.add[a][c] for c in range(pb)] for a in range(pb)])
-    Cq = cyclic(q)
-    action = []
-    wj = 1
-    for _ in range(q):
-        action.append(tuple(F.mul[wj][x] for x in range(pb)))
-        wj = F.mul[wj][w]
-    return semidirect_product(P, Cq, action)
+    P = GroupTable(F.add)
+    # generator j of C_q multiplies by w^j, w = primitive^((p^b - 1) / q)
+    return semidirect_product(P, cyclic(q), F.mul[F.exp[::(pb - 1) // q]])
 
 
 def heisenberg_odd_p3(p: int) -> GroupTable:

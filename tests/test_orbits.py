@@ -3,6 +3,7 @@ import pytest
 from kronkit.groupcore import GroupError, SubgroupSpec, conjugacy_data, subgroup_closure
 from kronkit.cli import _battery_entries
 from kronkit.orbits import (
+    _least_tuples,
     double_cosets,
     frame_pair_count,
     left_coset_map,
@@ -48,11 +49,11 @@ def test_diagonal_double_cosets_biject_with_orbits(family, params, d):
 
 def test_orbit_reps_are_canonical():
     G = symmetric(3)
-    op = simultaneous_classes(G, 2)
-    assert op.orbit_count == 11
-    assert op.reps[0] == (0, 0)
-    assert list(op.reps) == sorted(op.reps)
-    assert len(op.real_flags) == 11 and all(op.real_flags)
+    assert simultaneous_classes(G, 2).orbit_count == 11
+    reps, real = _least_tuples(G, 2)
+    assert reps[0] == 0  # (0, 0)
+    assert (reps[1:] > reps[:-1]).all()
+    assert len(real) == 11 and real.all()
 
 
 def test_orbit_cap():
@@ -103,10 +104,34 @@ def test_frame_equals_self_inverse_count():
 
 def test_left_coset_map_partitions():
     G = symmetric(3)
-    K = subgroup_closure(G, [next(g for g in range(6) if G.element_order(g) == 3)])
+    K = subgroup_closure(G, [next(g for g in range(6) if G.orders[g] == 3)])
     coset_of, reps = left_coset_map(G, K)
     assert len(reps) == 2
     assert sorted(coset_of) == [0, 0, 0, 1, 1, 1]
+
+
+# subgroups given by generators: trivial, cyclic, non-normal, normal, whole
+_COSET_CASES = [
+    ("symmetric", (4,), ()), ("symmetric", (4,), (1,)), ("symmetric", (4,), (3, 5)),
+    ("generalized_quaternion", (4,), (2,)), ("alternating", (4,), (1, 2, 3, 4)),
+    ("frobenius", (7, 1, 3), (7,)), ("gl2", (3,), (1, 2)), ("psl2", (5,), (1,)),
+]
+
+
+@pytest.mark.parametrize("fam,params,gens", _COSET_CASES)
+def test_cosets_match_enumeration(fam, params, gens):
+    G = build(fam, *params)
+    K = subgroup_closure(G, gens)
+    mul, n = rows(G), G.order
+    left = [min(mul[x][k] for k in K.elements) for x in range(n)]
+    double = [min(mul[mul[h][x]][k] for h in K.elements for k in K.elements) for x in range(n)]
+    reps = sorted(set(double))
+    dc = double_cosets(G, K)
+    assert dc.cosets == tuple((r, double.count(r)) for r in reps)
+    assert dc.self_inverse_count == sum(double[G.inv[r]] == r for r in reps)
+    coset_of, coset_reps = left_coset_map(G, K)
+    assert coset_reps.tolist() == sorted(set(left))
+    assert coset_reps[coset_of].tolist() == left
 
 
 def test_gelfand_symmetric_check():

@@ -19,12 +19,12 @@ from conftest import build, rows
 def order_census(G):
     census = {}
     for g in range(G.order):
-        o = G.element_order(g)
+        o = int(G.orders[g])
         census[o] = census.get(o, 0) + 1
     return census
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49])
 def test_finite_field_axioms(q):
     F = make_field(q)
     els = range(q)
@@ -51,6 +51,79 @@ def test_finite_field_axioms(q):
 def test_make_field_rejects_non_prime_power():
     with pytest.raises(GroupError):
         make_field(6)
+    for q in (0, 1, 50, 64):  # not a prime power, or one above 49
+        with pytest.raises(GroupError, match="prime power|too large"):
+            make_field(q)
+
+
+# (modulus, primitive) of every field: the low coefficients (c_0, ..., c_{k-1})
+# of the monic modulus, and the least element of order q - 1
+FIELDS = {
+    2: ((0,), 1), 3: ((0,), 2), 4: ((1, 1), 2), 5: ((0,), 2), 7: ((0,), 3),
+    8: ((1, 1, 0), 2), 9: ((1, 0), 4), 11: ((0,), 2), 13: ((0,), 2),
+    16: ((1, 1, 0, 0), 2), 17: ((0,), 3), 19: ((0,), 2), 23: ((0,), 5),
+    25: ((2, 0), 6), 27: ((1, 2, 0), 3), 29: ((0,), 2), 31: ((0,), 3),
+    32: ((1, 0, 1, 0, 0), 2), 37: ((0,), 2), 41: ((0,), 6), 43: ((0,), 3),
+    47: ((0,), 5), 49: ((1, 0), 9),
+}
+
+
+def test_fields_cover_every_prime_power_up_to_49():
+    def prime_divisors(q):
+        return {p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))}
+    assert sorted(FIELDS) == [q for q in range(2, 50) if len(prime_divisors(q)) == 1]
+
+
+# -- test-only reference: polynomial arithmetic over F_p, coefficients low first --
+
+def _digits(i, p, k):
+    return [i // p**j % p for j in range(k)]
+
+
+def _polymul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def ref_modulus(p, k):
+    """The first candidate, in the order of t = 0, 1, ..., that is not a
+    product of two monic polynomials of positive degree."""
+    def monic(deg):
+        return [_digits(t, p, deg) + [1] for t in range(p**deg)]
+    products = {tuple(_polymul(g, h, p)[:k])
+                for deg in range(1, k) for g in monic(deg) for h in monic(k - deg)}
+    return next(c for c in (tuple(_digits(t, p, k)) for t in range(p**k)) if c not in products)
+
+
+def ref_mul(a, b, p, k, modulus):
+    prod = _polymul(_digits(a, p, k), _digits(b, p, k), p)
+    for m in range(len(prod) - 1, k - 1, -1):  # x^m = x^(m-k) (x^k - f)
+        c, prod[m] = prod[m], 0
+        for j in range(k):
+            prod[m - k + j] = (prod[m - k + j] - c * modulus[j]) % p
+    return sum(c * p**j for j, c in enumerate(prod[:k]))
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_field_matches_brute_force(q):
+    F = make_field(q)
+    p, k = F.p, F.k
+    assert (F.modulus, F.primitive) == FIELDS[q]
+    assert F.modulus == ref_modulus(p, k)
+    digits = [_digits(a, p, k) for a in range(q)]
+    assert F.add.tolist() == [[sum((x + y) % p * p**j for j, (x, y) in enumerate(zip(da, db)))
+                               for db in digits] for da in digits]
+    mul = [[ref_mul(a, b, p, k, F.modulus) for b in range(q)] for a in range(q)]
+    assert F.mul.tolist() == mul
+    powers = [[1] for _ in range(q)]  # powers[a] = [a^0, a^1, ...] up to the first 1
+    for a in range(1, q):
+        while len(powers[a]) == 1 or powers[a][-1] != 1:
+            powers[a].append(mul[powers[a][-1]][a])
+    assert F.primitive == next(a for a in range(1, q) if len(powers[a]) == q)
+    assert F.exp.tolist() == powers[F.primitive][:-1]
 
 
 @pytest.mark.parametrize("family,params,order,classes", [
