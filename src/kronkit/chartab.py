@@ -18,7 +18,8 @@ embedding of Z[zeta_e] into F_p (see ``modular``, which reads that array as
 it is); the same engine validates imported tables and computes the
 Frobenius-Schur indicators, square-root counts and fixed-space dimensions.
 The exchange format writes every value at the exponent e: ``load_table``
-parses each value with ``cyclo.Cyclotomic`` and promotes it to e.
+reads each distinct value string once, straight into its integer row at e
+(``cyclo.parse_value``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import isqrt
 import numpy as np
 
 from . import modular
-from .cyclo import Cyclotomic, euler_phi, format_value, power_basis
+from .cyclo import Cyclotomic, euler_phi, format_value, parse_value, power_basis
 from .groupcore import ConjugacyData, GroupTable, SubgroupSpec, conjugacy_data, is_subgroup
 
 
@@ -470,12 +471,26 @@ def load_table(text: str) -> CharacterTable:
     # e > 2 MAX_TERMS^2: such an exponent is refused before it is factored
     if exponent > 2 * modular.MAX_TERMS**2 or euler_phi(exponent) > modular.MAX_TERMS:
         raise TableError(f"format error: phi(exponent) must be at most {modular.MAX_TERMS}")
+    # A table repeats few distinct values; each is read once.  A character
+    # value is a sum of chi(1) roots of unity, so a coefficient is at most
+    # chi(1) r in size (r as in ``modular``).  Coefficients of 2^52 or more
+    # are refused: below that, an L1 norm over at most 2^11 coefficients
+    # stays below 2^63, as ``modular.TableImages`` needs.
+    parsed: dict[str, list[int]] = {}
     coeffs = []
     for row in rows:
-        values = row.split("|")
+        values = [v.strip() for v in row.split("|")]
         if len(values) != k:
             raise TableError("format error: wrong number of character values")
-        coeffs.append([_parse_value(v, exponent) for v in values])
+        for v in values:
+            if v not in parsed:
+                try:
+                    parsed[v] = parse_value(v, exponent)
+                except ValueError as exc:
+                    raise TableError(f"format error: {exc}") from exc
+                if any(abs(c) >= 2**52 for c in parsed[v]):
+                    raise TableError("format error: a coefficient is not below 2^52 in size")
+        coeffs.append([parsed[v] for v in values])
         if any(coeffs[-1][0][1:]) or coeffs[-1][0][0] <= 0:
             raise TableError("format error: bad character degree")
     T = CharacterTable(
@@ -493,28 +508,3 @@ def load_table(text: str) -> CharacterTable:
     except VerificationError as exc:
         raise TableError(f"indicator check failed on import: {exc}") from exc
     return T
-
-
-def _parse_value(text: str, e: int) -> list[int]:
-    """Power-basis coefficients at conductor e of one value of the exchange format.
-
-    A character value is a sum of chi(1) roots of unity, so a coefficient is
-    at most chi(1) r in size (r as in ``modular``).  Coefficients of 2^52 or
-    more are refused: below that, an L1 norm over at most 2^11 coefficients
-    stays below 2^63, as ``modular.TableImages`` needs.
-    """
-    try:
-        conductor = int(text.partition(":")[0])
-        if conductor < 1 or e % conductor:  # checked before parse sizes a list by it
-            raise ValueError("a value's conductor does not divide the exponent")
-        value = Cyclotomic.parse(text).promote(e)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TableError(f"format error: {exc}") from exc
-    # the power basis is an integral basis of Z[zeta_e]
-    if not value.is_integral():
-        raise TableError("format error: character value not an algebraic integer")
-    coeffs = [int(c) for c in value.coeffs]
-    if any(abs(c) >= 2**52 for c in coeffs):
-        raise TableError("format error: a coefficient is not below 2^52 in size")
-    return coeffs
-

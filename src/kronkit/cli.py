@@ -26,7 +26,6 @@ from .groupcore import (
     DEFAULT_ORDER_CAP,
     GroupError,
     GroupTable,
-    SubgroupSpec,
     dump_group,
     load_group,
     subgroup_closure,
@@ -75,13 +74,6 @@ def _get_table(args) -> tuple[str, CharacterTable]:
     return label, character_table(G)
 
 
-def _subgroup_from_args(G: GroupTable, args) -> Optional[SubgroupSpec]:
-    if not args.subgroup_gens:
-        return None
-    gens = _parse_params(args.subgroup_gens)
-    return subgroup_closure(G, gens)
-
-
 # -- verification records -------------------------------------------------------
 #
 # kron builds each character-side record; these add the group-side oracle
@@ -106,7 +98,8 @@ def _verify_counts(T: CharacterTable, G: Optional[GroupTable], d: int,
     return _prefixed([conj, rconj], prefix)
 
 
-def _verify_subgroup(T: CharacterTable, G: GroupTable, K: SubgroupSpec) -> list[Record]:
+def _verify_subgroup(T: CharacterTable, G: GroupTable, gens) -> list[Record]:
+    K = subgroup_closure(G, gens)
     dc = orbits.double_cosets(G, K)
     frame = kron.frame_verify(T, K)
     frame.values["self_inverse"] = dc.self_inverse_count
@@ -133,20 +126,12 @@ def _classify_records(T: CharacterTable, G: Optional[GroupTable],
 
 # -- commands -------------------------------------------------------------------
 
-def cmd_build(args) -> Report:
-    label, G = _build_group(args)
-    rep = Report(input=label)
-    rep.records.append(Record(name="order", values={"order": G.order}))
-    _emit_payload(args, dump_group(G))
-    return rep
+def cmd_build(args) -> None:
+    _emit_payload(args, dump_group(_build_group(args)[1]))
 
 
-def cmd_chartab(args) -> Report:
-    label, T = _get_table(args)
-    rep = Report(input=label)
-    rep.records.append(Record(name="classes", values={"classes": T.num_classes}))
-    _emit_payload(args, dump_table(T))
-    return rep
+def cmd_chartab(args) -> None:
+    _emit_payload(args, dump_table(_get_table(args)[1]))
 
 
 def cmd_kron(args) -> Report:
@@ -178,27 +163,22 @@ def cmd_verify(args) -> Report:
     ds = args.d or [1, 2]
     if any(d < 1 for d in ds):
         raise ValueError("verify takes --d 1 or more")
+    if args.subgroup_gens and args.table_file:  # an imported table has no group
+        raise ValueError("--subgroup-gens needs --family or --group-file")
     label, T = _get_table(args)
     G = T.group
     rep = Report(input=label)
     for d in ds:
-        rep.records.extend(
-            _verify_counts(T, G, d, args.orbit_cap, args.kappa_cap)
-        )
-    if G is not None:
-        K = _subgroup_from_args(G, args)
-        if K is not None:
-            rep.records.extend(_verify_subgroup(T, G, K))
+        rep.records.extend(_verify_counts(T, G, d, args.orbit_cap, args.kappa_cap))
+    if args.subgroup_gens:
+        rep.records.extend(_verify_subgroup(T, G, _parse_params(args.subgroup_gens)))
     return rep
 
 
 def cmd_classify(args) -> Report:
     label, T = _get_table(args)
-    rep = Report(input=label)
-    rep.records.extend(
-        _classify_records(T, T.group, args.orbit_cap, args.kappa_cap)
-    )
-    return rep
+    records = _classify_records(T, T.group, args.orbit_cap, args.kappa_cap)
+    return Report(input=label, records=records)
 
 
 def _battery_entries(path: Optional[str]) -> list[tuple[str, FamilySpec]]:
@@ -293,9 +273,12 @@ def render_report(rep: Report, fmt: str, timings: bool = False) -> str:
         w.writerow(["group", "check", "formula", "value", "agree"])
         for r in rep.records:
             group, _, check = r.name.rpartition("/")
-            for formula, value in r.values.items():
+            # a note (a skipped derivation) takes its formula's value column
+            for formula, value in [*r.values.items(), *r.notes.items()]:
                 w.writerow([group, check or r.name, formula, str(value),
                             str(r.agree).lower()])
+        for err in rep.errors:
+            w.writerow(["", "error", "", err, "false"])
         return buf.getvalue()
     # text
     lines = [f"input: {rep.input}"]
@@ -371,19 +354,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         rep = _COMMANDS[args.command][0](args)
+        if rep is not None:  # build and chartab write their table themselves
+            _emit_payload(args, render_report(rep, args.format,
+                                              timings=getattr(args, "timings", False)))
     except (GroupError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command in ("build", "chartab"):
-        # payload already emitted; report is informational
-        return 0
-    text = render_report(rep, args.format, timings=getattr(args, "timings", False))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if rep.all_agree else 2
+    return 0 if rep is None or rep.all_agree else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,12 +1,13 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e): the parser of the
-exchange format and the reference arithmetic.
+"""Exact values in cyclotomic fields Q(zeta_e): the exchange format, both
+ways, and the reference ring arithmetic.
 
 Values are stored in the power basis 1, zeta, ..., zeta^(phi(e)-1) after
 reduction modulo the e-th cyclotomic polynomial, so equality at a common
-conductor is plain coefficient equality.  Rational coefficients use
-``fractions.Fraction``; everything is exact, no floats.  ``format_value``
-is the one formatter of the exchange format, for Fractions and for the
-int64 coefficients of ``chartab.CharacterTable`` alike.
+conductor is plain coefficient equality.  ``_terms`` reads the value
+grammar "c:[i=a/b,...]", ``format_value`` writes it, and ``parse_value``
+reads a value straight into its integer row at an exponent.  ``Cyclotomic``
+(``fractions.Fraction`` coefficients, no floats) is the tests' reference
+and the ``CharacterTable.irreps`` view; no command builds one.
 """
 
 from __future__ import annotations
@@ -90,6 +91,52 @@ def format_value(e: int, coeffs) -> str:
     conductor e (ints or Fractions), listing the nonzero ones."""
     parts = [f"{i}={c.numerator}/{c.denominator}" for i, c in enumerate(coeffs) if c]
     return f"{e}:[{','.join(parts)}]"
+
+
+def _terms(text: str, e: int | None = None) -> tuple[int, dict[int, tuple[int, int]]]:
+    """The conductor c and the terms {i: (a, b)} of a value "c:[i=a/b,...]"
+    of Q(zeta_e), of Q(zeta_c) by default; "/b" may be left out.  Refused in
+    this order: c not dividing e (before phi(c) is taken), malformed text,
+    and per term an index out of range or written twice, a zero denominator."""
+    text = text.strip()
+    head, _, body = text.partition(":")
+    c = int(head)
+    if c < 1 or (e is not None and e % c):
+        raise ValueError("a value's conductor does not divide the exponent")
+    if not (body.startswith("[") and body.endswith("]")):
+        raise ValueError(f"bad cyclotomic literal: {text!r}")
+    phi, terms = euler_phi(c), {}
+    inner = body[1:-1].strip()
+    for part in inner.split(",") if inner else ():
+        idx, _, frac = part.partition("=")
+        num, _, den = frac.partition("/")
+        i, a, b = int(idx), int(num), int(den or 1)
+        if not 0 <= i < phi:
+            raise ValueError(f"coefficient index {i} out of range for e={c}")
+        if i in terms:
+            raise ValueError(f"coefficient index {i} written twice")
+        if b == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        terms[i] = (a, b)
+    return c, terms
+
+
+def parse_value(text: str, e: int) -> list[int]:
+    """The integer power-basis row at exponent e of a value "c:[i=a/b,...]",
+    the inverse of ``format_value``.  zeta_c^i is row i e/c of
+    ``power_basis(e)``, an integral basis of Z[zeta_e]: D times the value is
+    an integer row (D the common denominator), and the value is an algebraic
+    integer exactly when D divides it."""
+    c, terms = _terms(text, e)
+    den = lcm(*(b for _, b in terms.values()))
+    basis, row = power_basis(e), [0] * euler_phi(e)
+    for i, (a, b) in terms.items():
+        for j, x in enumerate(basis[i * (e // c)]):
+            if x:
+                row[j] += a * (den // b) * x
+    if any(x % den for x in row):
+        raise ValueError("character value not an algebraic integer")
+    return [x // den for x in row]
 
 
 class Cyclotomic:
@@ -257,22 +304,10 @@ class Cyclotomic:
 
     @staticmethod
     def parse(text: str) -> "Cyclotomic":
-        text = text.strip()
-        head, _, body = text.partition(":")
-        e = int(head)
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"bad cyclotomic literal: {text!r}")
-        phi = euler_phi(e)
-        coeffs = [Fraction(0)] * phi
-        inner = body[1:-1].strip()
-        if inner:
-            for part in inner.split(","):
-                idx, _, frac = part.partition("=")
-                num, _, den = frac.partition("/")
-                i = int(idx)
-                if not 0 <= i < phi:
-                    raise ValueError(f"coefficient index {i} out of range for e={e}")
-                coeffs[i] = Fraction(int(num), int(den) if den else 1)
+        e, terms = _terms(text)
+        coeffs = [Fraction(0)] * euler_phi(e)
+        for i, (a, b) in terms.items():
+            coeffs[i] = Fraction(a, b)
         return Cyclotomic(e, coeffs)
 
     def __repr__(self):

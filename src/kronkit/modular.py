@@ -117,7 +117,7 @@ class TableImages:
         self.units = [a for a in range(e) if gcd(a, e) == 1]
         self.conj = [self.units.index(-a % e) for a in self.units]
         self.coeffs = T.coeffs
-        # coefficients lie below 2^52 in size (``chartab._parse_value`` for
+        # coefficients lie below 2^52 in size (``chartab.load_table`` for
         # imported tables), so a sum of at most 2^11 of them stays below 2^63
         self.l1 = abs(T.coeffs).sum(axis=2).tolist()
         self.r = max(sum(abs(x) for x in row) for row in power_basis(e))

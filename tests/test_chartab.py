@@ -250,6 +250,8 @@ S3_TEXT = resources.files("kronkit").joinpath("data/golden/S3.tbl").read_text()
     ("6:[0=-1/1] | 6:[0=1/1]", "5:[0=-1/1] | 6:[0=1/1]", "conductor"),
     ("sizes 1 3 2", "sizes 4 0 2", "positive"),
     ("6:[]", "6:[0=1/0]", "format error"),
+    # the last term would win and read as 2: a repeated index is refused
+    ("6:[0=2/1]", "6:[0=1/1,0=2/1]", "format error: coefficient index 0 written twice"),
     ("chi: 6:[0=2/1]", "chi: 6:[1=1/1]", "degree"),
     ("exponent 6", "exponent 600006", "exponent does not divide the order"),
     # int64 bound of imported coefficients: 2^52 - 1 passes it (and fails

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -137,8 +139,8 @@ def test_scan_computes_each_orbit_partition_once(capsys, tmp_path, monkeypatch):
 
 
 def test_scan_and_verify_build_no_cyclotomic(capsys, tmp_path, monkeypatch):
-    # character values stay one int64 coefficient array from the lift to the
-    # class sums; Cyclotomic only parses imported tables
+    # character values stay one int64 coefficient array from the lift or the
+    # import to the class sums; only the tests' reference builds Cyclotomic
     init = Cyclotomic.__init__
     calls = []
     monkeypatch.setattr(Cyclotomic, "__init__",
@@ -148,8 +150,10 @@ def test_scan_and_verify_build_no_cyclotomic(capsys, tmp_path, monkeypatch):
     assert run(capsys, "scan", "--battery", str(mf))[0] == 0
     assert run(capsys, "verify", "--family", "symmetric", "--params", "4")[0] == 0
     assert run(capsys, "kron", "--family", "cyclic", "--params", "5", "--d", "3")[0] == 0
-    assert main(["chartab", "--family", "cyclic", "--params", "5",
-                 "--out", str(tmp_path / "c5.tbl")]) == 0
+    table = str(tmp_path / "c5.tbl")
+    assert main(["chartab", "--family", "cyclic", "--params", "5", "--out", table]) == 0
+    for command in ("verify", "classify", "kron"):
+        assert run(capsys, command, "--table-file", table)[0] == 0
     assert calls == []
 
 
@@ -161,6 +165,15 @@ def test_scan_records_per_entry_errors(capsys, tmp_path):
     doc = json.loads(out)
     assert any(e.startswith("BAD:") for e in doc["errors"])
     assert any(r["name"].startswith("C2/") for r in doc["records"])
+    # csv keeps the error and every skipped derivation, one row each, also
+    # for a record with no value left (mftp_2 under the kappa cap)
+    code, out = run(capsys, "scan", "--battery", str(mf), "--format", "csv",
+                    "--orbit-cap", "3", "--kappa-cap", "1")
+    assert code == 2
+    rows = list(csv.reader(io.StringIO(out)))
+    assert ["C2", "conj_2", "orbit", "skipped: cap", "true"] in rows
+    assert ["C2", "mftp_2", "char", "skipped: cap", "true"] in rows
+    assert [row[:3] for row in rows if row[3].startswith("BAD:")] == [["", "error", ""]]
 
 
 def test_text_format_renders(capsys):
@@ -223,11 +236,15 @@ def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
     (("--family", "frobenius", "--params", "4", "1", "3"), "p must be prime"),
     (("--family", "symmetric", "--params", "3", "4"), "symmetric takes the parameters n"),
     (("--family", "heisenberg", "--params", "1"), "heisenberg takes the parameters n q"),
+    # an imported table has no group to take a subgroup of
+    (("--table-file", "TABLE_FILE", "--subgroup-gens", "1"),
+     "--subgroup-gens needs --family or --group-file"),
 ])
 def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
-    group_file = tmp_path / "g.grp"
-    group_file.write_text("order 6\nnot a row\n")
-    args = [str(group_file) if a == "GROUP_FILE" else a for a in args]
+    files = {"GROUP_FILE": tmp_path / "g.grp", "TABLE_FILE": tmp_path / "t.tbl"}
+    files["GROUP_FILE"].write_text("order 6\nnot a row\n")
+    files["TABLE_FILE"].write_text(_S3_TEXT)
+    args = [str(files.get(a, a)) for a in args]
     assert main(["verify", *args]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: " + error + "\n"
@@ -323,6 +340,13 @@ def test_tampered_imported_table_is_a_one_line_error(capsys, tmp_path):
     tf.write_text(tf.read_text().replace("powermap2 0 0 2", "powermap2 0 0 0"))
     capsys.readouterr()
     assert main(["verify", "--table-file", str(tf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_a_one_line_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", *S3, "--d", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

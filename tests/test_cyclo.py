@@ -9,6 +9,7 @@ from kronkit.cyclo import (
     NotRationalError,
     cyclotomic_polynomial,
     euler_phi,
+    parse_value,
 )
 
 
@@ -125,3 +126,34 @@ def test_ring_axioms(data, e):
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero()
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+@st.composite
+def values_at(draw):
+    """A value string "c:[i=a/b,...]" and an exponent e; c divides e or not."""
+    e = draw(st.sampled_from([1, 4, 6, 8, 12, 15, 24]))
+    if draw(st.integers(0, 3)):
+        c = draw(st.sampled_from([c for c in range(1, e + 1) if e % c == 0]))
+    else:
+        c = draw(st.integers(-1, 30))
+    phi = euler_phi(c) if c > 0 else 1
+    index = st.sampled_from([*range(phi), *range(phi), -1, phi])
+    den = st.sampled_from(["", "/1", "", "/-1", "/2", "/-2", "/3", "/0"])
+    terms = draw(st.lists(st.tuples(index, st.integers(-4, 4), den), max_size=4,
+                          unique_by=lambda term: term[0]))
+    return f"{c}:[{','.join(f'{i}={a}{b}' for i, a, b in terms)}]", e
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values_at())
+def test_parse_value_matches_the_cyclotomic_reference(value):
+    text, e = value
+    try:
+        reference = Cyclotomic.parse(text).promote(e)
+        expected = [int(c) for c in reference.coeffs] if reference.is_integral() else None
+    except ValueError:
+        expected = None
+    try:
+        assert parse_value(text, e) == expected
+    except ValueError:
+        assert expected is None
