@@ -13,10 +13,11 @@ once, into eigenvalue multiplicities of rho(g) and so into the exact
 power-basis coefficients of every value at the exponent e.  A table keeps
 them as one int64 array [irrep, class, phi(e)], ``CharacterTable.coeffs``,
 from the lift to the output.  Both orthogonality relations are verified
-exactly before a table is returned, as int64 matrix products at every
+exactly before a built table is returned, as int64 matrix products at every
 embedding of Z[zeta_e] into F_p (see ``modular``, which reads that array as
-it is); the same engine validates imported tables and computes the
-Frobenius-Schur indicators, square-root counts and fixed-space dimensions.
+it is); the same engine finds the duals, the Frobenius-Schur indicators,
+square-root counts and fixed-space dimensions, and checks an imported
+table's row orthogonality, indicators and closure under duality.
 The exchange format writes every value at the exponent e: ``load_table``
 reads each distinct value string once, straight into its integer row at e
 (``cyclo.parse_value``).
@@ -53,7 +54,6 @@ class Character:
 class IndicatorData:
     sigma: tuple[int, ...]      # per irrep, in {-1, 0, 1}
     r: tuple[int, ...]          # per class, square-root counts of the rep
-    r_max: int
 
 
 class CharacterTable:
@@ -99,23 +99,22 @@ class CharacterTable:
     def conjugate_irrep(self, irrep: int) -> int:
         """Index of the contragredient irrep (entrywise complex conjugate).
 
-        Complex conjugation maps zeta^i to zeta^(e - i), row (e - i) % e of
-        ``power_basis(e)``, so every conjugate row is one integer matrix
-        product, matched to a stored row by its bytes.
+        Read off the d = 1 Kronecker matrix Q[i, j] = sum_c |C_c| chi_i(c)
+        chi_j(c) = n kappa(V_i, V_j), the row gram with the identity for the
+        inverse classes.  Rows that pass row orthogonality (both constructors
+        check it first) are an orthonormal basis of the class functions, so
+        conj chi_j = sum_i (Q[i, j] / n) chi_i: Q is n times a permutation
+        matrix exactly when the rows are closed under conjugation, and the
+        permutation is the answer.  Otherwise ``VerificationError``.
         """
         perm = self._cache.get("conj_irrep")
         if perm is None:
-            e, phi = self.exponent, self.coeffs.shape[2]
-            galois = np.array(power_basis(e), dtype=np.int64)[(e - np.arange(phi)) % e]
-            # a conjugate coefficient is at most max|c| times a column L1
-            # norm of galois in size; below 2^63 no product or sum overflows
-            if int(abs(self.coeffs).max()) * int(abs(galois).sum(axis=0).max()) >= 2**63:
-                raise TableError("character values too large to conjugate in int64")
-            rows = {row.tobytes(): i for i, row in enumerate(self.coeffs)}
-            perm = tuple(rows.get(row.tobytes()) for row in self.coeffs @ galois)
-            if None in perm:
+            n, k = self.order, self.num_classes
+            Q = _row_gram(self, tuple(range(k)))
+            perm = [] if Q is None else (Q == n).argmax(axis=1).tolist()
+            if Q is None or (Q != n * np.eye(k, dtype=np.int64)[perm]).any():
                 raise VerificationError("contragredient character missing")
-            self._cache["conj_irrep"] = perm
+            perm = self._cache["conj_irrep"] = tuple(perm)
         return perm[irrep]
 
 
@@ -306,7 +305,8 @@ def _row_gram(T: CharacterTable, inverse_class=None):
         bound = img.r * sum(s * m[c] * m[inverse_class[c]] for c, s in enumerate(T.sizes))
 
     def sums_mod(p, V):
-        second = V[img.conj] if inverse_class is None else V[:, :, inverse_class]
+        # the embeddings are ascending and a -> e - a reverses them
+        second = V[::-1] if inverse_class is None else V[:, :, inverse_class]
         return np.matmul(V * modular.residues(T.sizes, p) % p, second.transpose(0, 2, 1)) % p
 
     return img.exact(bound, sums_mod)
@@ -383,6 +383,9 @@ def fs_indicators(T: CharacterTable) -> IndicatorData:
     if sums is None or any(x % n or x // n not in (-1, 0, 1) for x in sums):
         raise VerificationError("non-integral Frobenius-Schur indicator")
     sigma = [int(x) // n for x in sums]
+    # sigma_i != 0 exactly on the self-dual irreps
+    if any((x != 0) != (T.conjugate_irrep(i) == i) for i, x in enumerate(sigma)):
+        raise VerificationError("Frobenius-Schur indicator contradicts duality")
     # r(c) = sum_i sigma_i chi_i(c), with |sigma_i| <= 1
     r = img.exact(sum(img.irrep_l1),
                   lambda p, V: modular.residues(sigma, p) @ V % p)
@@ -391,7 +394,7 @@ def fs_indicators(T: CharacterTable) -> IndicatorData:
     r = [int(x) for x in r]
     if sum(s * rc for s, rc in zip(T.sizes, r)) != T.order:
         raise VerificationError("square-root counts do not sum to |G|")
-    T.fs = IndicatorData(sigma=tuple(sigma), r=tuple(r), r_max=max(r))
+    T.fs = IndicatorData(sigma=tuple(sigma), r=tuple(r))
     return T.fs
 
 

@@ -156,7 +156,6 @@ class ConjugacyData:
     class_of: tuple[int, ...]
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
-    centralizer_orders: tuple[int, ...]
     inverse_class: tuple[int, ...]
     powermap2: tuple[int, ...]  # the class of rep^2, for each class
 
@@ -275,7 +274,6 @@ def conjugacy_data(G: GroupTable) -> ConjugacyData:
         class_of=tuple(class_of.tolist()),
         reps=tuple(reps.tolist()),
         sizes=tuple(sizes),
-        centralizer_orders=tuple(n // s for s in sizes),
         inverse_class=tuple(class_of[np.asarray(G.inv)[reps]].tolist()),
         powermap2=tuple(class_of[G.table[reps, reps]].tolist()),
     )

@@ -297,12 +297,10 @@ def combinatorial_profile(T: CharacterTable) -> CombinatorialProfile:
     """Search for the (z, a, q) centralizer/degree profile; when it matches,
     the group cannot have multiplicity-free tensor products (``classify``
     checks this against the kappa tensor)."""
-    if T.group is None or T.classes is None:
-        raise ValueError("profile needs the underlying group")
     n = T.order
     cent_census: dict[int, int] = {}
-    for size, cent in zip(T.sizes, T.classes.centralizer_orders):
-        cent_census[cent] = cent_census.get(cent, 0) + size
+    for size in T.sizes:  # a class of size s has centralizer order n / s
+        cent_census[n // size] = cent_census.get(n // size, 0) + size
     z = cent_census.get(n, 0)  # number of central elements
     deg_census: dict[int, int] = {}
     for dgr in T.degrees:

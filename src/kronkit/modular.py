@@ -103,9 +103,9 @@ def _root_of_unity(p: int, e: int) -> int:
 class TableImages:
     """A table's values at every embedding, modulo primes found on demand.
 
-    ``units`` lists the embeddings zeta -> z^a; ``conj[i]`` is the index of
-    the embedding -units[i].  ``l1[i][c]`` is L1(chi_i(c)) and ``r`` the
-    power-basis constant of the bounds above.
+    ``units`` lists the embeddings zeta -> z^a, a ascending, so the
+    embedding -units[i] is units[-1 - i].  ``l1[i][c]`` is L1(chi_i(c)) and
+    ``r`` the power-basis constant of the bounds above.
     """
 
     def __init__(self, T):
@@ -115,7 +115,6 @@ class TableImages:
                              f"for int64 class sums (got {k} and {phi})")
         self.e = e
         self.units = [a for a in range(e) if gcd(a, e) == 1]
-        self.conj = [self.units.index(-a % e) for a in self.units]
         self.coeffs = T.coeffs
         # coefficients lie below 2^52 in size (``chartab.load_table`` for
         # imported tables), so a sum of at most 2^11 of them stays below 2^63

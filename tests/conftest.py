@@ -66,3 +66,26 @@ def c2_power_table(n):
     lines += ["chi: " + " | ".join(sign[bin(s & x).count("1") % 2] for x in range(k))
               for s in range(k)]
     return "\n".join(lines) + "\n"
+
+
+def _c8_root(m):
+    """zeta_8^m in the power basis 1, zeta, zeta^2, zeta^3 (zeta^4 = -1)."""
+    return f"8:[{m % 4}={(-1) ** (m % 8 // 4)}/1]"
+
+
+def non_dual_tables():
+    """Exchange-format tables that pass row orthogonality and have integral
+    indicators, but are not closed under duality, as {name: text}.
+
+    ``C8-mixed``: C8 with chi_2 and chi_6 replaced by their unitary mixes
+    (1, +-zeta^3, -1, -+zeta^3, ...), whose conjugates are not rows.
+    ``C2xC2-pm4``: the real table of C2 x C2 with the squaring map of C4,
+    so two self-dual irreps get indicator 0.
+    """
+    rows = [[j * x for x in range(8)] for j in (0, 1, 3, 4, 5, 7)]
+    rows += [[(0, 3, 4, 7)[x % 4] for x in range(8)], [(0, 7, 4, 3)[x % 4] for x in range(8)]]
+    c8 = ["order 8", "exponent 8", "classes 8", "sizes" + " 1" * 8,
+          "powermap2 " + " ".join(str(2 * x % 8) for x in range(8))]
+    c8 += ["chi: " + " | ".join(map(_c8_root, row)) for row in rows]
+    return {"C8-mixed": "\n".join(c8) + "\n",
+            "C2xC2-pm4": c2_power_table(2).replace("powermap2 0 0 0 0", "powermap2 0 2 0 2")}

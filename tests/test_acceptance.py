@@ -163,7 +163,7 @@ def test_criterion_6_specific_values():
         fs = fs_indicators(T)
         two = T.degrees.index(2)
         assert fs.sigma[two] == -1
-        assert fs.r_max == 6
+        assert max(fs.r) == 6
         inv_cls = next(c for c in range(5)
                        if T.sizes[c] == 1 and T.value(two, c).to_rational() == -2)
         assert fs.r[inv_cls] == 6  # r(-1) = 6

@@ -27,7 +27,7 @@ from kronkit.cyclo import Cyclotomic, euler_phi
 from kronkit.groupcore import subgroup_closure
 from kronkit.zoo import cyclic
 
-from conftest import build, table
+from conftest import build, non_dual_tables, table
 
 GOLDEN = {
     "S3": ("symmetric", (3,)),
@@ -153,7 +153,7 @@ def test_q8_indicators():
     assert sorted(fs.sigma) == [-1, 1, 1, 1, 1]
     two_dim = T.degrees.index(2)
     assert fs.sigma[two_dim] == -1
-    assert fs.r_max == 6
+    assert max(fs.r) == 6
     assert sorted(fs.r) == [0, 0, 0, 2, 6]
     assert sum(s * r for s, r in zip(T.sizes, fs.r)) == 8
 
@@ -173,7 +173,7 @@ def test_conjugate_irrep_involution():
 
 
 def test_conjugate_irrep_by_classes_matches_conjugated_values():
-    # the integer Galois matrix against Cyclotomic.conjugate, value by value,
+    # the d = 1 Kronecker matrix against Cyclotomic.conjugate, value by value,
     # on every battery table and on a copy of it without class data
     for _, spec in _battery_entries(None):
         T = table(spec.family, *spec.params)
@@ -185,17 +185,27 @@ def test_conjugate_irrep_by_classes_matches_conjugated_values():
             assert U.conjugate_irrep(i) == T.conjugate_irrep(i)
 
 
-@pytest.mark.parametrize("c,error", [((2**63 - 1) // 1223, VerificationError),
-                                     ((2**63 - 1) // 1223 + 1, TableError)])
-def test_conjugate_irrep_int64_edge(c, error):
-    # at e = 1155 a column of the conjugation matrix has L1 norm 1223, so a
-    # coefficient c conjugates inside int64 while 1223 c < 2^63; the row
-    # c zeta has no conjugate row in this one-row table
+@pytest.mark.parametrize("c", [(2**63 - 1) // 1223, (2**63 - 1) // 1223 + 1])
+def test_conjugate_irrep_int64_edge(c):
+    # the row c zeta of this one-row table at e = 1155 has no conjugate row:
+    # its d = 1 Kronecker sum 1155 c^2 zeta^2 is not rational.  The class sum
+    # is exact on either side of 1223 c = 2^63, where an int64 product with
+    # the conjugation matrix of Z[zeta_1155] (largest column L1 norm 1223)
+    # would overflow
     coeffs = np.zeros((1, 1, 480), dtype=np.int64)
     coeffs[0, 0, 1] = c
     T = CharacterTable(order=1155, exponent=1155, sizes=(1155,), powermap2=(0,),
                        coeffs=coeffs)
-    with pytest.raises(error):
+    with pytest.raises(VerificationError, match="contragredient character missing"):
+        T.conjugate_irrep(0)
+
+
+def test_conjugate_irrep_refuses_a_rational_non_permutation():
+    # the one row 2 of a one-class table: Q = [[4]] is rational, but not
+    # n = 1 times a permutation matrix
+    T = CharacterTable(order=1, exponent=1, sizes=(1,), powermap2=(0,),
+                       coeffs=np.array([[[2]]], dtype=np.int64))
+    with pytest.raises(VerificationError, match="contragredient character missing"):
         T.conjugate_irrep(0)
 
 
@@ -265,6 +275,15 @@ def test_load_table_input_contract(old, new, message):
     load_table(S3_TEXT)
     with pytest.raises(TableError, match=message):
         load_table(S3_TEXT.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("name,message", [
+    ("C8-mixed", "contragredient character missing"),
+    ("C2xC2-pm4", "indicator contradicts duality"),
+])
+def test_load_table_refuses_tables_not_closed_under_duality(name, message):
+    with pytest.raises(TableError, match=message):
+        load_table(non_dual_tables()[name])
 
 
 def test_load_table_writes_values_at_the_exponent():

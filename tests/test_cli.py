@@ -16,7 +16,7 @@ from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.cyclo import Cyclotomic
 from kronkit.groupcore import load_group
 
-from conftest import c2_power_table
+from conftest import c2_power_table, non_dual_tables
 
 REPORTS = Path(__file__).parent / "reports"
 
@@ -344,6 +344,16 @@ def test_tampered_imported_table_is_a_one_line_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "verify", "kron"])
+@pytest.mark.parametrize("name", ["C8-mixed", "C2xC2-pm4"])
+def test_non_dual_table_is_a_one_line_error(capsys, tmp_path, name, command):
+    tf = tmp_path / "t.tbl"
+    tf.write_text(non_dual_tables()[name])
+    assert main([command, "--table-file", str(tf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unwritable_out_is_a_one_line_error(capsys, tmp_path):
     out = tmp_path / "missing" / "report.json"
     assert main(["verify", *S3, "--d", "1", "--out", str(out)]) == 1
@@ -358,7 +368,7 @@ def test_rconj_disagreement_is_a_fail_record(capsys, monkeypatch):
         fs = real(T)
         sigma = list(fs.sigma)
         sigma[0] = -sigma[0]
-        return IndicatorData(sigma=tuple(sigma), r=fs.r, r_max=fs.r_max)
+        return IndicatorData(sigma=tuple(sigma), r=fs.r)
 
     monkeypatch.setattr(kron, "fs_indicators", wrong_sigma)
     code, out = run(capsys, "verify", *S3, "--d", "2")
@@ -374,7 +384,7 @@ def test_reality_disagreement_is_a_fail_record(capsys, monkeypatch):
 
     def unreal_first_irrep(T):
         fs = real(T)
-        return IndicatorData(sigma=(0,) + fs.sigma[1:], r=fs.r, r_max=fs.r_max)
+        return IndicatorData(sigma=(0,) + fs.sigma[1:], r=fs.r)
 
     monkeypatch.setattr(kron, "fs_indicators", unreal_first_irrep)
     code, out = run(capsys, "classify", *S3)
