@@ -13,11 +13,12 @@ once, into eigenvalue multiplicities of rho(g) and so into the exact
 power-basis coefficients of every value at the exponent e.  A table keeps
 them as one int64 array [irrep, class, phi(e)], ``CharacterTable.coeffs``,
 from the lift to the output.  Both orthogonality relations are verified
-exactly before a built table is returned, as int64 matrix products at every
-embedding of Z[zeta_e] into F_p (see ``modular``, which reads that array as
-it is); the same engine finds the duals, the Frobenius-Schur indicators,
-square-root counts and fixed-space dimensions, and checks an imported
-table's row orthogonality, indicators and closure under duality.
+exactly before a built table is returned, as float64 matrix products at one
+embedding of Z[zeta_e] into F_p per prime (see ``modular``, which reads that
+array as it is and certifies the table Galois-stable first); the same
+engine finds the duals, the Frobenius-Schur indicators, square-root counts
+and fixed-space dimensions, and checks an imported table's Galois
+stability, row orthogonality, indicators and closure under duality.
 The exchange format writes every value at the exponent e: ``load_table``
 reads each distinct value string once, straight into its integer row at e
 (``cyclo.parse_value``).
@@ -295,29 +296,28 @@ def _row_gram(T: CharacterTable, inverse_class=None):
     """sum_c |C_c| chi_i(c) chi_j(c^-1) for all i, j, exactly (None if not rational).
 
     Without ``inverse_class`` (an imported table), chi_j(c^-1) is taken as the
-    complex conjugate of chi_j(c), the embedding -a.
+    complex conjugate of chi_j(c), which is chi_j at the class
+    ``modular.TableImages.conj`` certifies for c.
     """
     img = modular.images(T)
-    m = img.class_l1
     if inverse_class is None:
-        bound = img.r**2 * sum(s * mc * mc for s, mc in zip(T.sizes, m))
-    else:
-        bound = img.r * sum(s * m[c] * m[inverse_class[c]] for c, s in enumerate(T.sizes))
-
-    def sums_mod(p, V):
-        # the embeddings are ascending and a -> e - a reverses them
-        second = V[::-1] if inverse_class is None else V[:, :, inverse_class]
-        return np.matmul(V * modular.residues(T.sizes, p) % p, second.transpose(0, 2, 1)) % p
-
-    return img.exact(bound, sums_mod)
+        inverse_class = img.conj
+    if not img.commutes(inverse_class):
+        return None
+    m = img.class_l1
+    bound = img.r * sum(s * m[c] * m[inverse_class[c]] for c, s in enumerate(T.sizes))
+    return img.exact(bound, lambda p, V: modular.dot(
+        V * modular.residues(T.sizes, p) % p, V[:, inverse_class].T, p))
 
 
 def _column_gram(T: CharacterTable, inverse_class):
     """sum_i chi_i(c) chi_i(c2^-1) for all c, c2, exactly (None if not rational)."""
     img = modular.images(T)
+    if not img.commutes(inverse_class):
+        return None
     bound = img.r * sum(m * m for m in img.irrep_l1)
-    return img.exact(bound, lambda p, V: np.matmul(
-        V.transpose(0, 2, 1), V[:, :, inverse_class]) % p)
+    return img.exact(bound, lambda p, V: modular.dot(V.T, V[:, inverse_class], p),
+                     class_axes=2)
 
 
 def _verify_orthogonality(T: CharacterTable, inverse_class):
@@ -379,7 +379,7 @@ def fs_indicators(T: CharacterTable) -> IndicatorData:
     m = img.class_l1
     # n sigma_i = sum_c |C_c| chi_i(c^2)
     sums = img.exact(sum(s * m[c] for s, c in zip(T.sizes, pm2)),
-                     lambda p, V: V[:, :, pm2] @ modular.residues(T.sizes, p) % p)
+                     lambda p, V: modular.dot(V[:, pm2], modular.residues(T.sizes, p), p))
     if sums is None or any(x % n or x // n not in (-1, 0, 1) for x in sums):
         raise VerificationError("non-integral Frobenius-Schur indicator")
     sigma = [int(x) // n for x in sums]
@@ -388,7 +388,7 @@ def fs_indicators(T: CharacterTable) -> IndicatorData:
         raise VerificationError("Frobenius-Schur indicator contradicts duality")
     # r(c) = sum_i sigma_i chi_i(c), with |sigma_i| <= 1
     r = img.exact(sum(img.irrep_l1),
-                  lambda p, V: modular.residues(sigma, p) @ V % p)
+                  lambda p, V: modular.dot(modular.residues(sigma, p), V, p), class_axes=1)
     if r is None or any(x < 0 for x in r):
         raise VerificationError("negative or fractional square-root count")
     r = [int(x) for x in r]
@@ -416,7 +416,10 @@ def dim_fixed_space(T: CharacterTable, K: SubgroupSpec) -> tuple[int, ...]:
                          minlength=T.num_classes).tolist()
     img = modular.images(T)
     bound = max(sum(m * l1 for m, l1 in zip(counts, row)) for row in img.l1)
-    totals = img.exact(bound, lambda p, V: V @ modular.residues(counts, p) % p)
+    # the counts are weights, not class sizes: they must be invariant under
+    # the Galois class permutations (``modular``), as they are for a group
+    totals = img.exact(bound, lambda p, V: modular.dot(
+        V, modular.residues(counts, p), p)) if img.invariant(counts) else None
     if totals is None or any(t % K.order or t < 0 for t in totals):
         raise VerificationError("fixed-space dimension not a non-negative integer")
     dims = T._cache[("fixed", K)] = tuple(int(t) // K.order for t in totals)
@@ -501,13 +504,18 @@ def load_table(text: str) -> CharacterTable:
         coeffs=np.array(coeffs, dtype=np.int64),
     )
     try:
+        stable = modular.images(T).perms is not None
         gram = _row_gram(T)
-    except ValueError as exc:  # beyond the int64 limits of the modular engine
+    except ValueError as exc:  # beyond the limits of the modular engine
         raise TableError(f"format error: {exc}") from exc
+    if not stable:
+        raise TableError("character values not Galois-stable on import")
     if gram is None or (gram != np.diag([T.order] * T.num_classes)).any():
         raise TableError("orthogonality failed on import")
     try:
         fs_indicators(T)
     except VerificationError as exc:
         raise TableError(f"indicator check failed on import: {exc}") from exc
+    except ValueError as exc:  # a bound beyond the prime supply of ``modular``
+        raise TableError(f"format error: {exc}") from exc
     return T

@@ -337,22 +337,28 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser, with the one subcommand that ``argv`` starts with, or all
+    six when it names none (no argument, ``--help`` or an unknown command):
+    the help, usage and error texts are the same either way."""
     ap = _Parser(
         prog="kronkit",
         description="Exact tensor-product multiplicity and conjugacy counting",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _COMMANDS.items():
+    # the prog that argparse would derive, given so that it builds no formatter
+    sub = ap.add_subparsers(dest="command", required=True, prog="kronkit")
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
         p = sub.add_parser(name)
-        for option in options.split():
+        for option in _COMMANDS[name][1].split():
             p.add_argument("--" + option, **_OPTIONS[option])
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         rep = _COMMANDS[args.command][0](args)
         if rep is not None:  # build and chartab write their table themselves
             _emit_payload(args, render_report(rep, args.format,

@@ -52,11 +52,13 @@ class GroupTable:
         table = np.asarray(mul, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size:
             raise GroupError("table is not a non-empty square")
+        # the first 0 of each row: entries are >= 0, so argmin finds it if any.
+        # Taken before the table is made read-only: numpy's argmin copies a
+        # read-only array (2 MiB for S6)
+        inv = table.argmin(axis=1)
         table.flags.writeable = False
         self.table = table
         self.order = len(table)
-        # the first 0 of each row: entries are >= 0, so argmin finds it if any
-        inv = table.argmin(axis=1)
         if (table[np.arange(self.order), inv] != 0).any():
             raise GroupError("missing inverse")
         self.inv = tuple(inv.tolist())
@@ -190,7 +192,8 @@ def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
     records right[j][x], the index of x * g_j, and for each new element b its
     parent and generator: b = parent(b) * g_via(b).  The table is then filled
     column by column, a BFS level at a time, from a * b = (a * parent(b)) *
-    g_via(b): column b is right[via(b)] gathered at column parent(b).
+    g_via(b): column b is right[via(b)] gathered at column parent(b).  The
+    columns of a level are written in place into the row-major table.
     """
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens]
@@ -222,12 +225,12 @@ def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
     n = len(elems)
     right = np.array(right, dtype=np.int32).reshape(len(gens), n)
     parent, via = np.array(parent), np.array(via)
-    cols = np.empty((n, n), dtype=np.int32)  # cols[b] = column b of the table
-    cols[0] = np.arange(n)
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n)
     for lo, hi in zip(level_ends, level_ends[1:]):
-        cols[lo:hi] = right[via[lo:hi, None], cols[parent[lo:hi]]]
+        table[:, lo:hi] = right[via[lo:hi], table[:, parent[lo:hi]]]
     labels = [str(p) for p in elems] if labels_from_perms else None
-    return GroupTable(np.ascontiguousarray(cols.T), labels=labels)
+    return GroupTable(table, labels=labels)
 
 
 def validate_cayley(table, labels=None) -> GroupTable:

@@ -1,10 +1,11 @@
 """Kronecker coefficients and the counting identities built on them.
 
 kappa(V_1,...,V_{d+1}) is always computed classwise from exact character
-values, as an int64 class sum modulo primes at every embedding of
-Z[zeta_e] into F_p, recovered exactly (see ``modular``).  The d=2
-coefficient tensor t3 is the workhorse: one (k^2 x k) by (k x k) matrix
-product per embedding.  Every d=3 number is contracted from it in float64
+values, as a class sum modulo primes at one embedding of Z[zeta_e] into
+F_p per prime, recovered exactly (see ``modular``, which also holds the
+Galois certificate that makes one embedding enough).  The d=2 coefficient
+tensor t3 is the workhorse: one exact float64 (k^2 x k) by (k x k) matrix
+product per prime.  Every d=3 number is contracted from it in float64
 under one magnitude bound (``_t3_matrix``) and no k^4 tensor is held: the
 sums go through a k x k matrix or a k-vector, the maxima and witnesses
 through ``kappa_slabs``, one k^3 slab at a time.
@@ -84,10 +85,10 @@ def kronecker(T: CharacterTable, irreps) -> KroneckerResult:
         s * prod(img.l1[i][c] for i in irreps) for c, s in enumerate(T.sizes))
 
     def sums_mod(p, V):
-        terms = np.broadcast_to(modular.residues(T.sizes, p), (len(V), T.num_classes))
+        terms = modular.residues(T.sizes, p)
         for i in irreps:
-            terms = terms * V[:, i] % p
-        return terms.sum(axis=1) % p
+            terms = terms * V[i] % p
+        return terms.sum() % p
 
     total = img.exact(bound, sums_mod)
     if total is None or total % T.order or total < 0:
@@ -98,8 +99,9 @@ def kronecker(T: CharacterTable, irreps) -> KroneckerResult:
 def kappa_tensor3(T: CharacterTable) -> np.ndarray:
     """kappa(V_u, V_v, V_w) for all triples, shape (k, k, k).
 
-    Per embedding, the (k^2 x k) matrix of products chi_u chi_v times the
-    (k x k) matrix |C_c| chi_w(c), modulo each prime.
+    Modulo each prime, the matrix of products chi_u chi_v, one row per pair
+    u <= v (t3 is symmetric in u and v), times the (k x k) matrix
+    |C_c| chi_w(c).
     """
     t3 = T._cache.get("kappa3")
     if t3 is not None:
@@ -107,20 +109,20 @@ def kappa_tensor3(T: CharacterTable) -> np.ndarray:
     img = modular.images(T)
     k = T.num_classes
     bound = img.r**2 * sum(s * m**3 for s, m in zip(T.sizes, img.class_l1))
+    u, v = np.triu_indices(k)
 
     def sums_mod(p, V):
-        sizes = modular.residues(T.sizes, p)
-        for Va in V:
-            pairs = (Va[:, None, :] * Va[None, :, :] % p).reshape(k * k, k)
-            yield (pairs @ (Va * sizes % p).T % p).reshape(k, k, k)
+        return modular.dot(V[u] * V[v] % p, (V * modular.residues(T.sizes, p) % p).T, p)
 
     S = img.exact(bound, sums_mod)
     if S is None:
         raise VerificationError("kappa sum not rational")
-    if (S % T.order).any() or (S < 0).any():
+    t3 = S // T.order
+    if (t3 * T.order != S).any() or (S < 0).any():
         raise VerificationError("kappa tensor entry invalid")
-    t3 = (S // T.order).astype(np.int64)
-    T._cache["kappa3"] = t3
+    pair = np.empty((k, k), dtype=np.intp)  # pair[u, v]: the row of {u, v}
+    pair[u, v] = pair[v, u] = np.arange(u.size)
+    t3 = T._cache["kappa3"] = t3.astype(np.int64)[pair]
     return t3
 
 
@@ -172,10 +174,10 @@ def kappa_slabs(T: CharacterTable, d: int):
 def over_kappa_cap(T: CharacterTable, d: int, cap: int) -> bool:
     """True when the d-tuple sums would do kappa work above ``cap``.
 
-    The work counts the d=2 tensor's k^3 entries once per pair of
-    embeddings (phi(e)^2, its modular sums), and for d=3 also the k^4
-    entries of the d=3 tensor, computed a slab of k^3 at a time.  d = 1
-    builds no tensor.
+    The work counts the d=2 tensor's k^3 entries phi(e)^2 times (the price
+    of its modular sums when they ran at every embedding, kept so that the
+    cap skips the same records), and for d=3 also the k^4 entries of the
+    d=3 tensor, computed a slab of k^3 at a time.  d = 1 builds no tensor.
     """
     if d not in (2, 3):
         return False

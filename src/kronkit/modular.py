@@ -1,4 +1,4 @@
-"""Exact class sums as int64 matrix products modulo primes.
+"""Exact class sums as float64 matrix products modulo primes.
 
 Every character-side number in kronkit is a class sum
 
@@ -6,8 +6,8 @@ Every character-side number in kronkit is a class sum
 
 with integer weights w_c (class sizes, subgroup counts, indicators) and
 factors x_t(c) in Z[zeta_e], e the exponent of the table.  This module
-evaluates such sums at the embeddings of Z[zeta_e] into F_p and recovers
-them exactly.
+evaluates such sums at one embedding of Z[zeta_e] into F_p per prime and
+recovers them exactly.
 
 Embeddings.  Let p be a prime with p = 1 (mod e) and z in F_p of order e.
 Then Phi_e splits over F_p into the distinct linear factors x - z^a, one
@@ -18,8 +18,7 @@ for each unit a mod e, and by the Chinese remainder theorem
 is a ring isomorphism.  As 1, zeta, ..., zeta^(phi-1) is a Z-basis of
 Z[zeta_e], an element vanishes at every embedding modulo p exactly when p
 divides each of its power-basis coefficients; modulo several primes,
-exactly when their product P does.  Complex conjugation is the embedding
--a: the image of conj(y) at a is the image of y at -a.
+exactly when their product P does.
 
 Exact recovery.  Let every power-basis coefficient of S lie in [-B, B] and
 let P > 2B.  If the images of S agree at every embedding modulo p, with
@@ -28,30 +27,65 @@ coefficients c_1, ..., c_(phi-1) are divisible by p and c_0 = t_p (mod p).
 Over all primes, P divides c_1, ..., c_(phi-1), which are then 0 as they
 are smaller than P in size: S = c_0 is rational.  Conversely a rational S
 has the same image at every embedding.  Its value c_0 is the one integer
-in (-P/2, P/2) congruent to t_p modulo every p.  So ``exact`` answers
-"is S rational, and which integer is it" without error, and every bug trap
-built on it (not rational, not divisible by |G|, negative, out of range,
-orthogonality) keeps its exact meaning.
+in (-P/2, P/2) congruent to t_p modulo every p.
+
+Galois certificate.  For a unit a mod e let s_a be the automorphism
+zeta -> zeta^a of Z[zeta_e]; the image of s_a(y) at the embedding b is the
+image of y at ab.  A table computed from a group is Galois-stable:
+s_a(chi_i(c)) = chi_i(pi_a c), where pi_a c is the class of g^a for g in c,
+and pi_a keeps class sizes and commutes with squaring and inversion.
+``TableImages`` certifies this once per table, for a set of units that
+generates (Z/e)^x and holds -1: it finds pi_a by matching, class by class,
+the images of s_a(chi(c)) at every embedding, modulo primes whose product
+exceeds 2 (r + 1) max L1, with those of a class, and checks that pi_a is a
+permutation that keeps the sizes and commutes with ``powermap2``.  The
+difference chi_i(pi_a c) - s_a(chi_i(c)) has coefficients of at most
+(r + 1) max L1 in size (bounds below), so its vanishing at every embedding
+modulo these primes makes it 0: the certificate is exact.  A table that
+fails it gets no images, and ``exact`` returns None.
+
+One embedding per prime.  As s_a s_b = s_ab, the certified pi_a give a
+class permutation for every unit.  So, modulo every prime:
+
+- a sum over all classes, weighted by class sizes, of an integer
+  polynomial in chi(c), chi(c^2) and chi(q c), for a class map q that
+  commutes with every pi_a (``commutes``), is fixed by every s_a:
+  reindexing the classes by pi_a gives the same sum.  Its images at every
+  embedding agree.
+- an output indexed by classes obeys s_a(S(c)) = S(pi_a c), so its images
+  at embedding 1 are invariant under every pi_a (``invariant``) exactly
+  when its images at every embedding agree.
+- other weights (``dim_fixed_space``'s subgroup counts) must themselves be
+  invariant under every pi_a; then the sum is of the first kind.
+
+``exact`` therefore evaluates each sum at embedding 1 only and checks the
+outputs indexed by classes, and the recovery above holds as it stands: "is
+S rational, and which integer is it" is answered without error, and every
+bug trap built on it (not rational, not divisible by |G|, negative, out of
+range, orthogonality) keeps its exact meaning.  Complex conjugation is
+s_(-1): an imported table's conj chi(c) is chi(pi_(-1) c) (``conj``).
 
 Coefficient bounds.  With L1(y) the sum of the absolute values of the
 coefficients of y, and r the largest row L1 norm of ``power_basis(e)``
 (rows zeta^m for m <= max(e - 1, 2 phi - 2)):
 
     L1(x y) <= r L1(x) L1(y)    (x y = sum x_i y_j zeta^(i+j))
-    L1(conj y) <= r L1(y)       (conj zeta^j = zeta^(e-j))
+    L1(s_a y) <= r L1(y)        (s_a zeta^j = zeta^(a j mod e))
 
-so a sum of m-fold products obeys B = r^(m-1) sum_c |w_c| prod_t L1(x_t(c)),
-with one more factor r per conjugated factor.  Callers compute B as a
-Python int next to each sum; ``TableImages.at`` adds primes until P > 2B.
+so a sum of m-fold products obeys B = r^(m-1) sum_c |w_c| prod_t L1(x_t(c)).
+Callers compute B as a Python int next to each sum; ``TableImages.at`` adds
+primes until P > 2B.
 
-int64 range.  Residues lie in [0, p) with p < 2^26, so a product of two is
-below 2^52 and a sum of up to 2^11 products is below 2^63.  Every
-contraction reduces its operands modulo p first and runs over phi(e)
-coefficients or over k classes or irreps, so both stay at most 2^11.
+float64 range.  Residues lie in [0, p) with p < 2^21, so a product of two
+is below 2^42 and a sum of up to 2^11 products is below 2^53: every partial
+sum is an integer that float64 holds exactly, in whatever order BLAS adds
+them.  ``dot`` casts the result back to int64 before it reduces mod p.
+Every contraction runs over phi(e) coefficients or over k classes or
+irreps, so both stay at most 2^11.
 
 ``TableImages`` reads the table's int64 coefficient array ``T.coeffs``
 [irrep, class, phi(e)] as it is: one matrix product per prime maps it to
-every embedding.
+the embeddings.
 """
 
 from __future__ import annotations
@@ -62,13 +96,23 @@ import numpy as np
 
 from .cyclo import power_basis
 
-PRIME_CEILING = 2**26  # residues below 2^26: products below 2^52
-MAX_TERMS = 2**11      # so 2^11 products sum below 2^63
+PRIME_CEILING = 2**21  # residues below 2^21: products below 2^42
+MAX_TERMS = 2**11      # so 2^11 products sum below 2^53
+# Prime supply.  phi(e) <= MAX_TERMS keeps e <= 9240, and below 2^21 every
+# such e has at least 63 primes p = 1 (mod e), whose product exceeds 2^1224
+# (the fewest: e = 2029).  ``TableImages.at`` refuses a bound beyond the
+# supply before it adds a prime.
 
 
 def residues(values, p: int) -> np.ndarray:
     """Python integers reduced mod p, as an int64 array."""
     return np.array([v % p for v in values], dtype=np.int64)
+
+
+def dot(a, b, p: int) -> np.ndarray:
+    """a @ b mod p, as int64, for residue arrays a and b that add at most
+    MAX_TERMS products per entry: exact in float64 (see above)."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
 
 
 # The least strong pseudoprime to all of the bases 2, 3, 5 and 7 (Pomerance,
@@ -100,27 +144,47 @@ def _root_of_unity(p: int, e: int) -> int:
     raise ArithmeticError(f"no root of unity of order {e} mod {p}")
 
 
-class TableImages:
-    """A table's values at every embedding, modulo primes found on demand.
+def _unit_generators(e: int) -> list[int]:
+    """Units mod e that generate (Z/e)^x, -1 first (none for e <= 2)."""
+    gens, reached = [], {1 % e}
+    for a in [e - 1, *range(2, e - 1)]:
+        if gcd(a, e) != 1 or a in reached:
+            continue
+        gens.append(a)
+        coset, step = set(reached), a  # the subgroup is the union of the a^j H
+        while step not in reached:
+            coset |= {x * step % e for x in reached}
+            step = step * a % e
+        reached = coset
+    return gens
 
-    ``units`` lists the embeddings zeta -> z^a, a ascending, so the
-    embedding -units[i] is units[-1 - i].  ``l1[i][c]`` is L1(chi_i(c)) and
-    ``r`` the power-basis constant of the bounds above.
+
+class TableImages:
+    """A table's values at the embedding zeta -> z, modulo primes found on
+    demand, and its Galois certificate.
+
+    ``perms`` holds the class permutations pi_a of the certified units a,
+    -1 first (None when the table fails the certificate), and ``conj`` is
+    pi_(-1).  ``l1[i][c]`` is L1(chi_i(c)) and ``r`` the power-basis
+    constant of the bounds above.
     """
 
     def __init__(self, T):
         e, (k, _, phi) = T.exponent, T.coeffs.shape
         if k > MAX_TERMS or phi > MAX_TERMS:
             raise ValueError(f"classes and phi(exponent) must be at most {MAX_TERMS} "
-                             f"for int64 class sums (got {k} and {phi})")
+                             f"for exact class sums (got {k} and {phi})")
         self.e = e
-        self.units = [a for a in range(e) if gcd(a, e) == 1]
         self.coeffs = T.coeffs
         # coefficients lie below 2^52 in size (``chartab.load_table`` for
         # imported tables), so a sum of at most 2^11 of them stays below 2^63
         self.l1 = abs(T.coeffs).sum(axis=2).tolist()
         self.r = max(sum(abs(x) for x in row) for row in power_basis(e))
+        self._supply: list[int] = []  # primes = 1 (mod e), descending
         self.primes: list[tuple[int, np.ndarray]] = []
+        self.perms = self._certify(np.array(T.sizes), np.array(T.powermap2))
+        self.conj = None if self.perms is None else (
+            self.perms[0] if e > 2 else np.arange(k))
 
     @property
     def class_l1(self) -> list[int]:
@@ -132,54 +196,113 @@ class TableImages:
         """Largest L1 norm over the classes, per irrep."""
         return [max(row) for row in self.l1]
 
-    def _add_prime(self):
+    def _images(self, p: int, units) -> np.ndarray:
+        """V[i, c, t]: chi_i(c) at the embedding zeta -> z^units[t], mod p."""
+        e, phi = self.e, self.coeffs.shape[2]
+        z, powers = _root_of_unity(p, e), [1]
+        for _ in range(e - 1):
+            powers.append(powers[-1] * z % p)
+        # W[j, t] = z^(units[t] j): the embedding units[t] applied to zeta^j
+        W = np.array(powers, dtype=np.int64)[np.outer(range(phi), units) % e]
+        k = len(self.coeffs)
+        return dot(self.coeffs.reshape(k * k, phi) % p, W, p).reshape(k, k, len(units))
+
+    def _certify(self, sizes: np.ndarray, powermap2: np.ndarray):
+        """The class permutations pi_a of ``_unit_generators(e)``, or None
+        when the table is not Galois-stable (see above)."""
+        e, k = self.e, len(sizes)
+        units = [a for a in range(e) if gcd(a, e) == 1]
+        position = np.zeros(e, dtype=np.intp)
+        position[units] = np.arange(len(units))
+        n = self._count((self.r + 1) * max(map(max, self.l1)))
+        full = [self._images(p, units) for p in self._supply[:n]]
+        self.primes = [(p, np.ascontiguousarray(V[:, :, 0])) for p, V in zip(self._supply, full)]
+        # keys[c, (prime, i), t]: the images of column c at every embedding
+        keys = np.ascontiguousarray(np.concatenate(full).transpose(1, 0, 2))
+        column = {key.tobytes(): c for c, key in enumerate(keys)}
+        perms = []
+        for a in _unit_generators(e):
+            moved = keys[:, :, position[[a * b % e for b in units]]]  # s_a of each column
+            pi = [column.get(key.tobytes()) for key in moved]
+            if None in pi or len(set(pi)) < k:
+                return None
+            pi = np.array(pi)
+            if (sizes[pi] != sizes).any() or (pi[powermap2] != powermap2[pi]).any():
+                return None
+            perms.append(pi)
+        return perms
+
+    def commutes(self, perm) -> bool:
+        """True when the class map ``perm`` commutes with every pi_a."""
+        perm = np.asarray(perm)
+        return self.perms is not None and all((pi[perm] == perm[pi]).all() for pi in self.perms)
+
+    def invariant(self, x, axes: int = 1) -> bool:
+        """True when ``x``, indexed by classes along its first ``axes`` axes,
+        is unchanged by every pi_a."""
+        if self.perms is None:
+            return False
+        x = np.asarray(x)
+        for pi in self.perms:
+            moved = x
+            for axis in range(axes):
+                moved = np.take(moved, pi, axis=axis)
+            if not np.array_equal(moved, x):
+                return False
+        return True
+
+    def _count(self, bound: int) -> int:
+        """How many primes multiply to more than 2 * bound; finds them, or
+        raises ``ValueError`` when too few lie below PRIME_CEILING."""
         e = self.e
-        p = self.primes[-1][0] if self.primes else PRIME_CEILING
-        p -= (p - 1) % e or e  # the next p = 1 (mod e) below
-        while not _is_prime(p):
-            p -= e
-            if p < 2:
-                raise ArithmeticError(f"too few primes = 1 (mod {e}) below {PRIME_CEILING}")
-        z = _root_of_unity(p, e)
-        # W[j, t] = z^(a_t j): the embedding a_t applied to zeta^j
-        W = np.array([[pow(z, a * j, p) for a in self.units] for j in range(len(self.units))],
-                     dtype=np.int64)
-        V = self.coeffs % p @ W % p
-        self.primes.append((p, np.ascontiguousarray(V.transpose(2, 0, 1))))
+        modulus, n = 1, 0
+        while modulus <= 2 * bound:
+            if n == len(self._supply):
+                p = self._supply[-1] if self._supply else PRIME_CEILING
+                p -= (p - 1) % e or e  # the next p = 1 (mod e) below
+                while p > 1 and not _is_prime(p):
+                    p -= e
+                if p < 2:
+                    raise ValueError(f"too few primes = 1 (mod {e}) below {PRIME_CEILING} "
+                                     f"for an exact class sum")
+                self._supply.append(p)
+            modulus *= self._supply[n]
+            n += 1
+        return n
 
     def at(self, bound: int) -> list[tuple[int, np.ndarray]]:
         """(p, V) pairs whose primes multiply to more than 2 * bound.
 
-        V[a, i, c] is chi_i(c) at embedding a, reduced mod p.
+        V[i, c] is chi_i(c) at the embedding zeta -> z, reduced mod p.
         """
-        modulus, n = 1, 0
-        while modulus <= 2 * bound:
-            if n == len(self.primes):
-                self._add_prime()
-            modulus *= self.primes[n][0]
-            n += 1
+        n = self._count(bound)
+        for p in self._supply[len(self.primes):n]:
+            self.primes.append((p, self._images(p, [1])[:, :, 0]))
         return self.primes[:n]
 
-    def exact(self, bound: int, sums_mod):
+    def exact(self, bound: int, sums_mod, class_axes: int = 0):
         """Exact values of class sums that are all rational, else None.
 
-        ``sums_mod(p, V)`` yields, one embedding after another, the residues
-        mod p of the sums at that embedding.  ``bound`` bounds every
-        power-basis coefficient of every sum.  The result is an array of the
-        sums' integer values (int64 for one prime, Python ints for more).
+        ``sums_mod(p, V)`` gives the residues mod p of the sums at the
+        embedding of ``at``; the first ``class_axes`` axes of its result
+        index classes.  ``bound`` bounds every power-basis coefficient of
+        every sum.  The result is an array of the sums' integer values (int64
+        for one prime, Python ints for more).  None also when the table
+        failed the Galois certificate.
         """
+        if self.perms is None:
+            return None
         value = modulus = None
         for p, V in self.at(bound):
-            it = iter(sums_mod(p, V))
-            first = np.asarray(next(it))
-            if any(not np.array_equal(s, first) for s in it):
+            residue = np.asarray(sums_mod(p, V))
+            if class_axes and not self.invariant(residue, class_axes):
                 return None
             if modulus is None:
-                value, modulus = first, p
+                value, modulus = residue, p
                 continue
             # Garner, in Python ints: extend value = residue (mod modulus) by p
-            value, first = value.astype(object), first.astype(object)
-            t = (first - value % p) * pow(modulus, -1, p) % p
+            value, residue = value.astype(object), residue.astype(object)
+            t = (residue - value % p) * pow(modulus, -1, p) % p
             value, modulus = np.asarray(value + modulus * t, dtype=object), modulus * p
         return np.where(value > modulus // 2, value - modulus, value)
 

@@ -14,6 +14,9 @@ from . import _kernels
 from .groupcore import GroupError, GroupTable, SubgroupSpec, _coset_minima
 
 DEFAULT_ORBIT_CAP = 10**7
+# tuple-map entries per block in ``_least_tuples``: small enough to stay in
+# cache, so S5 at d = 3 runs no slower than with all maps at once
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -73,20 +76,18 @@ def _least_tuples(G: GroupTable, d: int) -> tuple[np.ndarray, np.ndarray]:
     c, say g c^-1 g^-1 = c; then g.(c^-1, r^-1) = (c, g.r^-1) must lie in
     C(c).r, i.e. have the C(c)-minimum r.
 
-    Memory.  The maps h.r hold n^d entries of index_dtype(n^(d-1)).  A
-    centralizer's rows are read in place when it is all of G and copied
-    otherwise; a proper subgroup has at most n/2 elements, so the copy holds
-    at most n^d / 2.  The rest, for one centralizer at a time, is a few
-    arrays of n^(d-1) and of its classes' share of the result.  So besides
-    the result the peak is about 3/2 n^d entries, at most 2 n^d; label
-    propagation over the tuple maps of a generating set held
-    (2 |gens| + 2) n^d.
+    Memory.  One centralizer at a time, its minimum is folded over blocks
+    of its maps h.r of about 2^16 entries (``_BLOCK``) of
+    index_dtype(n^(d-1)); the rest is a few arrays of n^(d-1) and of its
+    classes' share of the result.  So besides the result and the n x n
+    conjugation table the peak is a few n^(d-1) entries plus a block, not
+    the n^d of all maps at once (6.9 MB for S5 at d = 3).
     """
     n, t, inv = G.order, G.table, np.asarray(G.inv)
     size = n ** (d - 1)
     dtype = _kernels.index_dtype(size)
     conj = t[t, inv[:, None]]  # conj[h, x] = h x h^-1
-    maps = _kernels.tuple_map(conj, n, d - 1, dtype)  # maps[h, r] = h.r on G^(d-1)
+    step = max(1, _BLOCK // size)
     roots = np.flatnonzero(G.class_roots == np.arange(n))
     commute = t[:, roots].T == t[roots]  # commute[i, h]: h c_i = c_i h
     transport = t[:, inv[roots]].T == t[roots]  # transport[i, g]: g c_i^-1 = c_i g
@@ -97,8 +98,12 @@ def _least_tuples(G: GroupTable, d: int) -> tuple[np.ndarray, np.ndarray]:
         sharing.setdefault(centralizer.tobytes(), []).append(i)
     reps, real = [None] * roots.size, [None] * roots.size
     for classes in sharing.values():
-        centralizer = commute[classes[0]]
-        least = (maps if centralizer.all() else maps[centralizer]).min(axis=0)
+        rows = np.flatnonzero(commute[classes[0]])  # the centralizer
+        least = np.full(size, size, dtype)
+        for start in range(0, rows.size, step):
+            # block[h, r] = h.r on G^(d-1), for a block of the centralizer
+            block = _kernels.tuple_map(conj[rows[start:start + step]], n, d - 1, dtype)
+            np.minimum(least, block.min(axis=0), out=least)
         r = np.flatnonzero(least == np.arange(size))
         flip, flipped = flips[classes], np.zeros((len(classes), r.size), dtype)
         for digit in np.unravel_index(r, (n,) * (d - 1)):

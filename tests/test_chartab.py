@@ -188,10 +188,10 @@ def test_conjugate_irrep_by_classes_matches_conjugated_values():
 @pytest.mark.parametrize("c", [(2**63 - 1) // 1223, (2**63 - 1) // 1223 + 1])
 def test_conjugate_irrep_int64_edge(c):
     # the row c zeta of this one-row table at e = 1155 has no conjugate row:
-    # its d = 1 Kronecker sum 1155 c^2 zeta^2 is not rational.  The class sum
-    # is exact on either side of 1223 c = 2^63, where an int64 product with
-    # the conjugation matrix of Z[zeta_1155] (largest column L1 norm 1223)
-    # would overflow
+    # it is not Galois-stable (zeta -> zeta^a moves its one value), so no class
+    # sum is exact for it, and its d = 1 Kronecker sum 1155 c^2 zeta^2 is not
+    # rational.  The refusal holds on either side of 1223 c = 2^63, with the
+    # certificate's coefficients reduced mod p before any product
     coeffs = np.zeros((1, 1, 480), dtype=np.int64)
     coeffs[0, 0, 1] = c
     T = CharacterTable(order=1155, exponent=1155, sizes=(1155,), powermap2=(0,),
@@ -278,7 +278,9 @@ def test_load_table_input_contract(old, new, message):
 
 
 @pytest.mark.parametrize("name,message", [
-    ("C8-mixed", "contragredient character missing"),
+    # the unitary mixes of C8-mixed are not Galois-stable either, and that is
+    # checked first
+    ("C8-mixed", "Galois-stable"),
     ("C2xC2-pm4", "indicator contradicts duality"),
 ])
 def test_load_table_refuses_tables_not_closed_under_duality(name, message):

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import _kernels, kron, orbits
-from kronkit.chartab import IndicatorData, load_table
+from kronkit import _kernels, kron, modular, orbits
+from kronkit.chartab import IndicatorData, character_table, dump_table, load_table
 from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.cyclo import Cyclotomic
 from kronkit.groupcore import load_group
 
-from conftest import c2_power_table, non_dual_tables
+from conftest import build, c2_power_table, non_dual_tables
 
 REPORTS = Path(__file__).parent / "reports"
 
@@ -293,6 +293,47 @@ def test_each_subcommand_takes_only_the_options_it_reads(command):
     assert sum(len(v.split()) for v in COMMAND_OPTIONS.values()) == 48
 
 
+def _main_texts(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("verify", "--help"),
+    ("verify", "--bogus"),
+    ("nonsense",),
+    (),
+])
+def test_help_usage_and_errors_match_the_parser_with_every_subcommand(
+        capsys, monkeypatch, argv):
+    # main builds only the subparser that argv names; every text it prints
+    # must be the one of the parser that holds all six
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _main_texts(capsys, argv)
+    full = build_parser
+    monkeypatch.setattr("kronkit.cli.build_parser", lambda argv=None: full())
+    assert got == _main_texts(capsys, argv)
+    code, out, err = got
+    if argv[-1:] == ("--help",):
+        assert code == 0 and out.startswith("usage: kronkit") and not err
+    else:
+        assert code == 1 and not out
+        assert err == {
+            ("verify", "--bogus"): "error: kronkit: unrecognized arguments: --bogus\n",
+            ("nonsense",): "error: kronkit: argument command: invalid choice: 'nonsense' "
+                           "(choose from 'build', 'chartab', 'kron', 'classify', 'verify', "
+                           "'scan')\n",
+            (): "error: kronkit: the following arguments are required: command\n",
+        }[argv]
+    if argv == ("--help",):
+        assert "{build,chartab,kron,classify,verify,scan}" in out
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
@@ -352,6 +393,34 @@ def test_non_dual_table_is_a_one_line_error(capsys, tmp_path, name, command):
     assert main([command, "--table-file", str(tf)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _c5_with_a_planted_squaring_map():
+    """C5's table with powermap2 0 2 1 3 4 in place of 0 2 4 1 3.  Rows,
+    indicators and duals all pass; but zeta -> zeta^2 moves the classes by
+    c -> 2c, which does not commute with the planted map."""
+    text = dump_table(character_table(build("cyclic", 5)))
+    assert "powermap2 0 2 4 1 3\n" in text
+    return text.replace("powermap2 0 2 4 1 3\n", "powermap2 0 2 1 3 4\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_galois_unstable_import_is_a_one_line_error(capsys, tmp_path, command):
+    tf = tmp_path / "t.tbl"
+    for text in (_c5_with_a_planted_squaring_map(), non_dual_tables()["C8-mixed"]):
+        tf.write_text(text)
+        assert main([command, "--table-file", str(tf)]) == 1
+        assert capsys.readouterr().err == "error: character values not Galois-stable on import\n"
+
+
+def test_running_out_of_primes_is_a_one_line_error(capsys, monkeypatch):
+    # below 2^8 the primes = 1 (mod 12) multiply to about 2^70, far below the
+    # bound of a 40-fold product of S4's degree-3 irrep
+    monkeypatch.setattr(modular, "PRIME_CEILING", 2**8)
+    assert main(["kron", "--family", "symmetric", "--params", "4",
+                 "--irreps", *["3"] * 40]) == 1
+    assert capsys.readouterr().err == (
+        "error: too few primes = 1 (mod 12) below 256 for an exact class sum\n")
 
 
 def test_unwritable_out_is_a_one_line_error(capsys, tmp_path):

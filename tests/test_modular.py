@@ -1,11 +1,18 @@
 """The modular class-sum engine against exact Cyclotomic arithmetic."""
 
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
+import pytest
 
 from kronkit import kron, modular
-from kronkit.chartab import _column_gram, _row_gram, character_table, fs_indicators
+from kronkit.chartab import (
+    CharacterTable,
+    _column_gram,
+    _row_gram,
+    character_table,
+    fs_indicators,
+)
 from kronkit.cli import _battery_entries
 from kronkit.cyclo import Cyclotomic
 
@@ -92,12 +99,79 @@ def test_exactness_edge_lowered_prime_ceiling(monkeypatch):
 
 
 def test_kronecker_far_beyond_int64():
-    # 48 factors: the bound 2^47 * (3^48 + ...) needs five primes near 2^26
+    # 48 factors: the bound 2^47 * (3^48 + ...) needs six primes near 2^21
     T = table("symmetric", 4)
     v = T.degrees.index(3)
     want = sum(s * T.value(v, c).to_rational() ** 48 for c, s in enumerate(T.sizes)) / T.order
     assert kron.kronecker(T, (v,) * 48).value == want > 2**63
-    assert len(modular.images(T).primes) == 5
+    assert len(modular.images(T).primes) == 6
+
+
+def test_running_out_of_primes_raises_before_a_prime_is_added(monkeypatch):
+    monkeypatch.setattr(modular, "PRIME_CEILING", 2**8)
+    T = character_table(build("symmetric", 4))
+    img = modular.images(T)
+    held = len(img.primes)
+    v = T.degrees.index(3)
+    with pytest.raises(ValueError, match=r"too few primes = 1 \(mod 12\) below 256"):
+        kron.kronecker(T, (v,) * 40)
+    assert len(img.primes) == held
+
+
+def test_float64_products_exact_at_the_largest_prime():
+    # MAX_TERMS products of (p - 1)^2 sum to just below 2^53, the largest sum
+    # a contraction can make; float64 must still hold it exactly
+    p = next(q for q in range(modular.PRIME_CEILING - 1, 2, -1) if modular._is_prime(q))
+    n = modular.MAX_TERMS
+    assert n * (p - 1) ** 2 < 2**53 <= n * modular.PRIME_CEILING**2
+    a = np.full((2, n), p - 1, dtype=np.int64)
+    got = modular.dot(a, a.T, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[n * (p - 1) ** 2 % p] * 2] * 2
+
+
+def test_unit_generators_generate_the_units():
+    for e in range(1, 400):
+        gens = modular._unit_generators(e)
+        units = {a for a in range(e) if gcd(a, e) == 1}
+        reached = {1 % e}
+        while True:
+            more = reached | {x * g % e for x in reached for g in gens}
+            if more == reached:
+                break
+            reached = more
+        assert reached == units, e
+        assert gens[:1] == ([e - 1] if e > 2 else [])
+
+
+def test_certificate_pins_the_power_classes():
+    # for a computed table, pi_a is the class of g^a, and pi_(-1) the inverse class
+    for family, params in [("symmetric", (4,)), ("cyclic", (8,)), ("gl2", (3,)),
+                           ("frobenius", (7, 1, 3))]:
+        T = table(family, *params)
+        img, cd, mul = modular.images(T), T.classes, T.group.table
+        for a, pi in zip(modular._unit_generators(T.exponent), img.perms):
+            powers = []
+            for g in cd.reps:
+                x = 0
+                for _ in range(a):
+                    x = mul[x, g]
+                powers.append(cd.class_of[x])
+            assert pi.tolist() == powers
+        assert img.conj.tolist() == list(cd.inverse_class)
+
+
+def test_certificate_refuses_a_planted_galois_orbit():
+    # C5's table with the values at the classes of g and g^2 swapped in one
+    # nontrivial row: zeta -> zeta^2 sends a column where no column is
+    T = table("cyclic", 5)
+    coeffs = T.coeffs.copy()
+    coeffs[0, [1, 2]] = coeffs[0, [2, 1]]
+    U = CharacterTable(order=5, exponent=5, sizes=T.sizes, powermap2=T.powermap2,
+                       coeffs=coeffs)
+    img = modular.images(U)
+    assert img.perms is None and not img.commutes(range(5)) and not img.invariant([1] * 5)
+    assert img.exact(1, lambda p, V: V[0, 0]) is None
 
 
 def _trial_division(n):

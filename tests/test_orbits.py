@@ -1,5 +1,6 @@
 import pytest
 
+from kronkit import orbits
 from kronkit.groupcore import GroupError, SubgroupSpec, conjugacy_data, subgroup_closure
 from kronkit.cli import _battery_entries
 from kronkit.orbits import (
@@ -54,6 +55,18 @@ def test_orbit_reps_are_canonical():
     assert reps[0] == 0  # (0, 0)
     assert (reps[1:] > reps[:-1]).all()
     assert len(real) == 11 and real.all()
+
+
+@pytest.mark.parametrize("family,params,d", [
+    ("symmetric", (4,), 2), ("symmetric", (4,), 3), ("generalized_quaternion", (4,), 3),
+    ("abelian", (2, 4), 2)])
+def test_least_tuples_do_not_depend_on_the_block(monkeypatch, family, params, d):
+    # one tuple map a block (fold over every centralizer row) against one block
+    G = build(family, *params)
+    whole = _least_tuples(G, d)
+    monkeypatch.setattr(orbits, "_BLOCK", 1)
+    for got, want in zip(_least_tuples(G, d), whole):
+        assert got.tolist() == want.tolist()
 
 
 def test_orbit_cap():
