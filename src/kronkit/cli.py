@@ -4,8 +4,8 @@ Subcommands: build | chartab | kron | classify | verify | scan; each takes
 only the options it reads (``_COMMANDS``).  Reports are deterministic
 (byte-identical across runs); wall-clock timings are emitted only by
 ``scan --timings``, which breaks byte-identity on purpose.  Exit codes:
-0 = all agree, 2 = at least one agreement failure, 1 = usage or build
-error, reported in one line.
+0 = all agree, 2 = at least one agreement failure or a tripped bug trap,
+1 = usage or build error; an error is reported in one line.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from importlib import resources
 from typing import Optional
 
 from . import __version__, kron, orbits, zoo
-from .chartab import CharacterTable, character_table, dump_table, load_table
+from .chartab import (CharacterTable, VerificationError, character_table, dump_table,
+                      load_table)
 from .groupcore import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -366,6 +367,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GroupError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (VerificationError, ArithmeticError) as exc:  # a tripped bug trap
+        print(f"error: bug trap: {exc}", file=sys.stderr)
+        return 2
     return 0 if rep is None or rep.all_agree else 2
 
 

@@ -16,38 +16,43 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 
 class NotRationalError(ValueError):
     """Raised when a cyclotomic value expected to be rational is not."""
 
 
-def _poly_divmod_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of integer polynomials known to divide exactly (den monic)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Coefficients of Phi_e (ascending degree, monic)."""
+    """Coefficients of Phi_e (ascending degree, monic): by Moebius inversion
+    of x^e - 1 = prod_{d | e} Phi_d, the product of (x^(e/m) - 1)^mu(m) over
+    the squarefree divisors m of e, all factors with mu = 1 taken first so
+    that every division is exact."""
     if e < 1:
         raise ValueError("conductor must be positive")
-    if e == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (e - 1) + [1]  # x^e - 1
-    for d in range(1, e):
-        if e % d == 0:
-            num = _poly_divmod_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    up, down = [e], []  # the n of the factors x^n - 1 with mu = 1 and mu = -1
+    p, rest = 2, e
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            up, down = up + [n // p for n in down], down + [n // p for n in up]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for n in up:  # poly (x^n - 1)
+        poly = [(poly[i - n] if i >= n else 0) - (poly[i] if i < len(poly) else 0)
+                for i in range(len(poly) + n)]
+    for n in down:  # the q with q (x^n - 1) = poly: q[i] = poly[i + n] + q[i + n]
+        q = poly[n:]
+        for i in range(len(q) - n - 1, -1, -1):
+            q[i] += q[i + n]
+        if any(poly[i] + q[i] for i in range(n)):
+            raise ArithmeticError("inexact polynomial division")
+        poly = q
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -67,23 +72,43 @@ def euler_phi(e: int) -> int:
     return phi
 
 
+def _power_rows(e: int):
+    """x^m mod Phi_e for m = 0 .. max(e - 1, 2 phi - 2), one int64 row at a
+    time, each with its L1 norm."""
+    mod = np.array(cyclotomic_polynomial(e)[:-1], dtype=np.int64)
+    # a row of L1 norm l gives a next row of L1 norm at most l (1 + L1(mod)):
+    # below ``limit`` every next row, and its L1 norm, fits in int64.  Over
+    # every e with phi(e) <= 2048 the largest L1 norm is 7382 (e = 7410)
+    limit = 2**63 // (1 + int(abs(mod).sum()))
+    row = np.eye(1, len(mod), dtype=np.int64)[0]
+    for _ in range(max(e - 1, 2 * len(mod) - 2) + 1):
+        l1 = int(abs(row).sum())
+        if l1 >= limit:
+            raise ArithmeticError(f"power basis of exponent {e} beyond int64")
+        yield row, l1
+        row = np.concatenate(([0], row[:-1])) - row[-1] * mod  # x row, reduced by monic Phi_e
+
+
 @lru_cache(maxsize=None)
 def power_basis(e: int) -> tuple[tuple[int, ...], ...]:
     """x^m mod Phi_e for m = 0 .. max(e-1, 2*phi-2), as integer coefficient rows."""
-    phi = euler_phi(e)
-    top = max(e - 1, 2 * phi - 2)
-    rows: list[tuple[int, ...]] = []
-    cur = [1] + [0] * (phi - 1)
-    mod = cyclotomic_polynomial(e)
-    for _ in range(top + 1):
-        rows.append(tuple(cur))
-        # multiply by x and reduce by the monic Phi_e
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            for j in range(phi):
-                cur[j] -= lead * mod[j]
-    return tuple(rows)
+    return tuple(tuple(row.tolist()) for row, _ in _power_rows(e))
+
+
+@lru_cache(maxsize=None)
+def reduced_powers(e: int) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """What one pass over the rows of ``power_basis(e)`` keeps: r, their
+    largest L1 norm (the constant of ``modular``'s bounds), and the rows
+    m = i e/c (c | e, i < phi(c)) that ``parse_value`` reads, as the indices
+    and values of their nonzero coefficients.  No other row is held."""
+    wanted = {i * (e // c) for c in range(1, e + 1) if e % c == 0 for i in range(euler_phi(c))}
+    r, rows = 0, {}
+    for m, (row, l1) in enumerate(_power_rows(e)):
+        r = max(r, l1)
+        if m in wanted:
+            nonzero = np.flatnonzero(row)
+            rows[m] = nonzero, row[nonzero]
+    return r, rows
 
 
 def format_value(e: int, coeffs) -> str:
@@ -124,16 +149,17 @@ def _terms(text: str, e: int | None = None) -> tuple[int, dict[int, tuple[int, i
 def parse_value(text: str, e: int) -> list[int]:
     """The integer power-basis row at exponent e of a value "c:[i=a/b,...]",
     the inverse of ``format_value``.  zeta_c^i is row i e/c of
-    ``power_basis(e)``, an integral basis of Z[zeta_e]: D times the value is
-    an integer row (D the common denominator), and the value is an algebraic
-    integer exactly when D divides it."""
+    ``power_basis(e)``, which ``reduced_powers`` keeps.  The power basis is
+    an integral basis of Z[zeta_e]: D times the value is an integer row (D
+    the common denominator), and the value is an algebraic integer exactly
+    when D divides it."""
     c, terms = _terms(text, e)
     den = lcm(*(b for _, b in terms.values()))
-    basis, row = power_basis(e), [0] * euler_phi(e)
+    rows, row = reduced_powers(e)[1], [0] * euler_phi(e)
     for i, (a, b) in terms.items():
-        for j, x in enumerate(basis[i * (e // c)]):
-            if x:
-                row[j] += a * (den // b) * x
+        index, value = rows[i * (e // c)]
+        for j, x in zip(index.tolist(), value.tolist()):
+            row[j] += a * (den // b) * x
     if any(x % den for x in row):
         raise ValueError("character value not an algebraic integer")
     return [x // den for x in row]

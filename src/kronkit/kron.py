@@ -5,10 +5,11 @@ values, as a class sum modulo primes at one embedding of Z[zeta_e] into
 F_p per prime, recovered exactly (see ``modular``, which also holds the
 Galois certificate that makes one embedding enough).  The d=2 coefficient
 tensor t3 is the workhorse: one exact float64 (k^2 x k) by (k x k) matrix
-product per prime.  Every d=3 number is contracted from it in float64
-under one magnitude bound (``_t3_matrix``) and no k^4 tensor is held: the
-sums go through a k x k matrix or a k-vector, the maxima and witnesses
-through ``kappa_slabs``, one k^3 slab at a time.
+product per prime.  Everything else is read off t3 through the transfer
+matrices K_V[W, U] = kappa(W, V, U'), U' dual to U: kappa(V_1, ..., V_{d+1})
+is entry [V_1, V_{d+1}'] of K_{V_2} ... K_{V_d}.  The sums over all tuples,
+at every d, are short matrix chains (``_kappa_sums``); no k^4 tensor is
+held, and witnesses and maxima come from ``kappa_slabs``, a slab at a time.
 
 Every checked number is reported as a ``Record``: the values of its
 independent derivations, which must agree, and a note for each derivation
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -38,7 +40,6 @@ from .cyclo import euler_phi
 # admits k <= 100 at d = 3).
 DEFAULT_KAPPA_CAP = 10**8
 SKIPPED = "skipped: cap"
-SKIPPED_D = "skipped: d > 3"
 
 
 @dataclass(frozen=True)
@@ -130,33 +131,94 @@ def _sigma_vector(T: CharacterTable) -> np.ndarray:
     return np.array(fs_indicators(T).sigma, dtype=np.int64)
 
 
-def _t3_matrix(T: CharacterTable) -> tuple[np.ndarray, list[int]]:
-    """X = t3 as the (k^2 x k) float64 matrix X[(u, v), w], and the
-    conjugation permutation of the irreps.  The d=3 numbers are products of X."""
-    t3 = kappa_tensor3(T)
-    k = T.num_classes
-    # An entry of X^T X sums k^2 non-negative products of two kappas, one of a
-    # d=3 slab k of them, and one of (sigma (x) sigma)^T X sums k^2 kappas of
-    # either sign.  So while k^2 * top^2 < 2^53 (top the largest kappa), every
-    # partial sum, in whatever order BLAS adds, is an integer float64 holds
-    # exactly.  kappa(U, V, W) <= min(dim U, dim V, dim W), so group tables sit
-    # far below the bound: the battery's largest k^2 * top^2 is 2^14.4.
-    if k * k * int(t3.max()) ** 2 >= 2**53:
-        raise ValueError("kappa values too large for exact float64 sums (k^2 max^2 >= 2^53)")
-    return t3.reshape(k * k, k).astype(np.float64), [T.conjugate_irrep(w) for w in range(k)]
+def _conjugation(T: CharacterTable) -> list[int]:
+    return [T.conjugate_irrep(w) for w in range(T.num_classes)]
+
+
+# Exactness of the float64 products below.  Every product of two arrays of
+# non-negative integers is, entry by entry, a sum of products of their
+# entries, added in whatever order BLAS chooses.  Rounding to nearest is
+# monotone and exact on the integers up to 2^53, so by induction over that
+# order every computed partial sum is at least min(its true value, 2^53),
+# and equals its true value when that is below 2^53 (a product with a zero
+# factor is 0 however large the other, which stays finite).  A computed
+# entry below 2^53 is therefore exact, and only each result needs checking
+# (``_certified``), not the partial sums or intermediate products that went
+# into it.
+def _certified(x: np.ndarray) -> np.ndarray:
+    if x.size and x.max() >= 2**53:
+        raise ValueError("kappa sums too large for exact float64 products (an entry >= 2^53)")
+    return x
+
+
+def _pair(x: np.ndarray, y: np.ndarray) -> int:  # sum x * y, in Python ints
+    return sum(map(mul, x.astype(np.int64).ravel().tolist(), y.astype(np.int64).ravel().tolist()))
+
+
+# The transfer chain.  With K_V[W, U] = kappa(W, V, U') (module docstring),
+# J = sum_V K_V, S = sum_V sigma(V) K_V and Phi(X) = sum_V K_V^T X K_V, the
+# sums over all (d+1)-tuples are (as sigma(U') = sigma(U))
+#
+#     sum kappa = 1^T J^(d-1) 1,   sum (prod sigma) kappa = sigma^T S^(d-1) sigma,
+#     sum kappa^2 = trace Phi^(d-1)(I).
+#
+# t3 is symmetric in its slots, so K_V = T_V P with T_V = t3[:, V, :]
+# symmetric and P the conjugation permutation: J^T = P J P, S^T = P S P, and
+# the adjoint of Phi is P Phi(P . P) P.  So each sum pairs the chain's step
+# a = floor(d/2), permuted by P, with its step b = d - 1 - a: one chain of a
+# steps in float64, and the pairing in Python ints, which may pass 2^63.  At
+# d = 1 the chain is empty and builds no tensor.
+#
+# Exactness.  J, the J chain and the Phi chain have non-negative entries and
+# are ``_certified``.  |S| <= J and |sigma| <= 1 entrywise, so every partial
+# sum of the sigma chain is at most the certified J chain entry in size.
+# Phi^j(I) is a sum of M^T M over products M of j transfer matrices: positive
+# semidefinite with non-negative entries, so its largest entry is a diagonal
+# one, at most its trace |conj_(j+1)(G)|.  For a group's table the
+# certificate therefore holds while |conj_(a+1)(G)| < 2^53.
+def _kappa_sums(T: CharacterTable, d: int) -> tuple[int, int, int]:
+    """(sum kappa, sum kappa^2, sum (prod sigma) kappa) over all (d+1)-tuples
+    of irreps, as exact Python ints, cached on the table."""
+    sums = T._cache.get(("kappa_sums", d))
+    if sums is not None:
+        return sums
+    k, perm = T.num_classes, _conjugation(T)
+    # chain[j] = [J^j 1, Phi^j(I), S^j sigma], cached for every d
+    chain = T._cache.setdefault(
+        "transfer", [[np.ones(k), np.eye(k), _sigma_vector(T).astype(np.float64)]])
+    if len(chain) <= d // 2:
+        t3 = kappa_tensor3(T).astype(np.float64)
+        rows, cols = t3.reshape(k * k, k), t3.reshape(k, k * k)
+        J = _certified(t3.sum(axis=0))[:, perm]
+        S = (chain[0][2] @ cols).reshape(k, k)[:, perm]
+        while len(chain) <= d // 2:
+            x, X, y = chain[-1]
+            # Phi(X) = P (sum_V T_V X T_V) P; XT[(w, V), b] = (X T_V)[w, b],
+            # which at X = I is t3 itself
+            XT = rows if len(chain) == 1 else (X @ cols).reshape(k * k, k)
+            chain.append([_certified(J @ x), _certified(rows.T @ XT)[perm][:, perm], S @ y])
+    (j_a, phi_a, s_a), (j_b, phi_b, s_b) = chain[d // 2], chain[(d - 1) // 2]
+    sums = T._cache[("kappa_sums", d)] = (
+        _pair(j_a[perm], j_b), _pair(phi_a[perm][:, perm], phi_b), _pair(s_a[perm], s_b))
+    return sums
 
 
 def kappa_slabs(T: CharacterTable, d: int):
-    """kappa over all (d+1)-tuples of irreps, for d = 2, 3, one first irrep
-    a at a time: t3[a], or at d = 3 the (k x k x k) slab
-    kappa(a, b, c, d') = sum_w t3[a, b, w] t3[w', c, d'], w' conjugate to w."""
+    """kappa over all (d+1)-tuples of irreps, one first irrep a at a time:
+    kappa(a, b) = [b = a'] at d = 1, t3[a] at d = 2, and at d = 3 the slab
+    kappa(a, b, c, d') = sum_w t3[a, b, w] t3[w', c, d']."""
+    k, perm = T.num_classes, _conjugation(T)
+    if d == 1:
+        return iter(np.eye(k, dtype=np.int64)[perm])
     if d == 2:
         return iter(kappa_tensor3(T))
     if d != 3:
         raise ValueError("tuple-sum formulas are capped at d = 3")
-    X, perm = _t3_matrix(T)
-    k = T.num_classes
-    t3 = X.reshape(k, k, k)
+    t3 = kappa_tensor3(T).astype(np.float64)
+    # By Cauchy-Schwarz a slab entry is at most the largest sum of squares of
+    # a t3 slab t3[x] (the largest diagonal entry of Phi(I)); its terms are
+    # non-negative, so once that is below 2^53 the products are exact
+    _certified(np.einsum("abw,abw->a", t3, t3))
 
     def slab(a):
         # t3 is symmetric in its slots, so t3[w', c, d'] = t3[c, d', w']:
@@ -172,107 +234,85 @@ def kappa_slabs(T: CharacterTable, d: int):
 
 
 def over_kappa_cap(T: CharacterTable, d: int, cap: int) -> bool:
-    """True when the d-tuple sums would do kappa work above ``cap``.
-
-    The work counts the d=2 tensor's k^3 entries phi(e)^2 times (the price
-    of its modular sums when they ran at every embedding, kept so that the
-    cap skips the same records), and for d=3 also the k^4 entries of the
-    d=3 tensor, computed a slab of k^3 at a time.  d = 1 builds no tensor.
-    """
-    if d not in (2, 3):
+    """True when the d-tuple sums would do kappa work above ``cap``: the d=2
+    tensor's k^3 entries phi(e)^2 times (the price of its modular sums at
+    every embedding, kept so that the cap skips the same records), plus k^4
+    at d = 3 and k^4 per chain step, floor(d/2) of them, at d >= 4.  d = 1
+    builds no tensor."""
+    if d == 1:
         return False
     k = T.num_classes
-    work = k**3 * euler_phi(T.exponent) ** 2 + (k**4 if d == 3 else 0)
-    return work > cap
+    steps = 0 if d == 2 else d // 2
+    return k**3 * euler_phi(T.exponent) ** 2 + steps * k**4 > cap
 
 
 # -- counting records ----------------------------------------------------------
 
 def conj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
     """|conj_d(G)| by Burnside's lemma, (1/|G|) sum_c |C_c| |C_G(c)|^d, and
-    (for d <= 3) the kappa-square sum."""
+    by the kappa-square sum."""
     total = sum(s * (T.order // s) ** d for s in T.sizes)
     if total % T.order:
         raise VerificationError("Burnside sum not integral")
     rec = Record(f"conj_{d}", {"burnside": total // T.order})
-    if d == 1:
-        rec.values["kappa_sq"] = T.num_classes
-    elif d > 3:
-        rec.notes["kappa_sq"] = SKIPPED_D
-    elif over_kappa_cap(T, d, kappa_cap):
+    if over_kappa_cap(T, d, kappa_cap):
         rec.notes["kappa_sq"] = SKIPPED
     else:
-        # with M = X^T X, the squares of t3 sum to trace(M); the d=3 tensor
-        # pairs column w of X with column w' (``kappa_slabs``), so its
-        # squares sum to sum_{w,v} M[w, v] M[w', v'].  Python ints: exact
-        X, perm = _t3_matrix(T)
-        M = (X.T @ X).astype(np.int64).tolist()
-        k = len(M)
-        rec.values["kappa_sq"] = (
-            sum(M[w][w] for w in range(k)) if d == 2 else
-            sum(M[w][v] * M[perm[w]][perm[v]] for w in range(k) for v in range(k)))
+        rec.values["kappa_sq"] = _kappa_sums(T, d)[1]
     return rec
 
 
 def rconj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
-    """|rconj_d(G)| via the square-root moment and (d <= 3) the sigma-weighted
+    """|rconj_d(G)| via the square-root moment and the sigma-weighted
     Kronecker sum."""
     total = sum(s * rc ** (d + 1) for s, rc in zip(T.sizes, fs_indicators(T).r))
     if total % T.order:
         raise VerificationError("square-root moment not integral")
     rec = Record(f"rconj_{d}", {"r_moment": total // T.order})
-    s = _sigma_vector(T)
-    if d == 1:
-        rec.values["sigma_weighted"] = int((s * s).sum())
-    elif d > 3:
-        rec.notes["sigma_weighted"] = SKIPPED_D
-    elif over_kappa_cap(T, d, kappa_cap):
+    if over_kappa_cap(T, d, kappa_cap):
         rec.notes["sigma_weighted"] = SKIPPED
     else:
-        # u[w] = sum_{a,b} sigma(a) sigma(b) t3[a, b, w]; the sum is u . sigma
-        # at d = 2 and sum_w u[w] u[w'] at d = 3.  Python ints: exact
-        X, perm = _t3_matrix(T)
-        u = (np.outer(s, s).ravel() @ X).astype(np.int64).tolist()
-        second = s.tolist() if d == 2 else [u[w] for w in perm]
-        rec.values["sigma_weighted"] = sum(x * y for x, y in zip(u, second))
+        rec.values["sigma_weighted"] = _kappa_sums(T, d)[2]
     return rec
 
 
-def _least_witness(T: CharacterTable, d: int, bad) -> Optional[KroneckerResult]:
+def _least_witness(T: CharacterTable, d: int, bad) -> KroneckerResult:
     """The lexicographically least (d+1)-tuple of irreps where
-    ``bad(a, slab)`` holds, with its kappa, or None; stops at the first
-    slab that has one."""
+    ``bad(a, slab)`` holds, with its kappa, once a sum has shown one exists."""
     for a, slab in enumerate(kappa_slabs(T, d)):
         mask = bad(a, slab)
         first = int(mask.argmax())  # the first True in C (lexicographic) order
         if mask.flat[first]:
             index = np.unravel_index(first, mask.shape)
             return KroneckerResult(irreps=(a, *map(int, index)), value=int(slab[index]))
-    return None
+    raise VerificationError("a kappa sum fails but no kappa slab shows where")
 
+
+# Term by term kappa^2 >= kappa >= (prod sigma) kappa, as kappa >= 0 and
+# prod sigma is -1, 0 or 1.  The first is an equality exactly when kappa is 0
+# or 1, the second when moreover prod sigma = 1 wherever kappa = 1.  So each
+# decision below compares two sums, and searches slabs only for the witness.
 
 def is_mftp(T: CharacterTable, d: int = 2):
     """(all kappa <= 1, least witness tuple with kappa >= 2 otherwise)."""
-    witness = _least_witness(T, d, lambda a, slab: slab >= 2)
-    return witness is None, witness
+    total, squares, _ = _kappa_sums(T, d)
+    if total == squares:
+        return True, None
+    return False, _least_witness(T, d, lambda a, slab: slab >= 2)
 
 
 def is_d_real_char(T: CharacterTable, d: int):
     """Character-side d-reality test: kappa <= 1 everywhere and the sigma
     product is 1 on every kappa = 1 tuple."""
-    s = _sigma_vector(T)
-    if d == 1:
-        # kappa(U, V) = delta_{V, U'}; the sigma product on those pairs is sigma(U)^2
-        for u in range(T.num_classes):
-            if s[u] * s[T.conjugate_irrep(u)] != 1:
-                return False, KroneckerResult(irreps=(u, T.conjugate_irrep(u)), value=1)
+    _, squares, signed = _kappa_sums(T, d)
+    if signed == squares:
         return True, None
+    s = _sigma_vector(T)
     rest = s  # the sigma product of the last d irreps of a tuple
     for _ in range(d - 1):
         rest = np.multiply.outer(rest, s)
-    witness = _least_witness(
+    return False, _least_witness(
         T, d, lambda a, slab: (slab >= 2) | ((slab == 1) & (s[a] * rest != 1)))
-    return witness is None, witness
 
 
 def frame_verify(T: CharacterTable, K: SubgroupSpec) -> Record:
@@ -332,7 +372,7 @@ def sign_law_violations(T: CharacterTable):
     equal to 1 but sigma(U) sigma(V) != sigma(W), in lexicographic order.
     Must be empty (Lemma)."""
     s = _sigma_vector(T)
-    self_dual = np.array([T.conjugate_irrep(i) == i for i in range(T.num_classes)])
+    self_dual = np.array(_conjugation(T)) == np.arange(T.num_classes)
     # multiplicity of W in U (x) V is kappa(U, V, W') = kappa(U, V, W)
     bad = (self_dual[:, None, None] & self_dual[:, None] & self_dual
            & (kappa_tensor3(T) == 1) & ((s[:, None] * s)[:, :, None] != s))
@@ -355,24 +395,18 @@ def classify(T: CharacterTable, kappa_cap: int = DEFAULT_KAPPA_CAP) -> list[Reco
             all(T.classes.inverse_class[c] == c for c in range(T.num_classes))
         )
     records = [real]
-    for d in (2, 3):
-        rec = Record(f"mftp_{d}")
+    for name, d, decide in (("mftp_2", 2, is_mftp), ("mftp_3", 3, is_mftp),
+                            ("doubly_real", 2, is_d_real_char)):
+        rec = Record(name)
         if over_kappa_cap(T, d, kappa_cap):
             rec.notes["char"] = SKIPPED
         else:
-            ok, wit = is_mftp(T, d)
+            ok, wit = decide(T, d)
             rec.values["char"], rec.witness = int(ok), _witness(wit)
         records.append(rec)
-    mftp_2 = records[1].values.get("char")
-    doubly = Record("doubly_real")
-    if over_kappa_cap(T, 2, kappa_cap):
-        doubly.notes["char"] = SKIPPED
-    else:
-        ok, wit = is_d_real_char(T, 2)
-        doubly.values["char"], doubly.witness = int(ok), _witness(wit)
-        if ok != (real_char and mftp_2 == 1):
-            raise VerificationError("doubly real <=> real and MFTP fails")
-    records.append(doubly)
+    mftp_2, doubly = records[1].values.get("char"), records[3].values.get("char")
+    if doubly is not None and doubly != (real_char and mftp_2 == 1):
+        raise VerificationError("doubly real <=> real and MFTP fails")
     if T.group is not None:
         prof = combinatorial_profile(T)
         if prof.matched:

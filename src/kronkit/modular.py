@@ -67,7 +67,8 @@ s_(-1): an imported table's conj chi(c) is chi(pi_(-1) c) (``conj``).
 
 Coefficient bounds.  With L1(y) the sum of the absolute values of the
 coefficients of y, and r the largest row L1 norm of ``power_basis(e)``
-(rows zeta^m for m <= max(e - 1, 2 phi - 2)):
+(rows zeta^m for m <= max(e - 1, 2 phi - 2), streamed by
+``cyclo.reduced_powers``):
 
     L1(x y) <= r L1(x) L1(y)    (x y = sum x_i y_j zeta^(i+j))
     L1(s_a y) <= r L1(y)        (s_a zeta^j = zeta^(a j mod e))
@@ -94,7 +95,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import power_basis
+from .cyclo import reduced_powers
 
 PRIME_CEILING = 2**21  # residues below 2^21: products below 2^42
 MAX_TERMS = 2**11      # so 2^11 products sum below 2^53
@@ -179,7 +180,7 @@ class TableImages:
         # coefficients lie below 2^52 in size (``chartab.load_table`` for
         # imported tables), so a sum of at most 2^11 of them stays below 2^63
         self.l1 = abs(T.coeffs).sum(axis=2).tolist()
-        self.r = max(sum(abs(x) for x in row) for row in power_basis(e))
+        self.r = reduced_powers(e)[0]
         self._supply: list[int] = []  # primes = 1 (mod e), descending
         self.primes: list[tuple[int, np.ndarray]] = []
         self.perms = self._certify(np.array(T.sizes), np.array(T.powermap2))

@@ -13,8 +13,9 @@ import pytest
 
 from kronkit import kron
 from kronkit.chartab import character_table, dump_table, fs_indicators, load_table
-from kronkit.groupcore import SubgroupSpec, subgroup_closure
-from kronkit.orbits import double_cosets, frame_pair_count, simultaneous_classes
+from kronkit.groupcore import SubgroupSpec, direct_product, subgroup_closure
+from kronkit.orbits import (DEFAULT_ORBIT_CAP, double_cosets, frame_pair_count,
+                            simultaneous_classes)
 from kronkit.zoo import FamilySpec
 
 from conftest import BATTERY, build, classified, diagonal_subgroup, rows, table
@@ -58,6 +59,28 @@ def test_criterion_2_identity_b_c():
                 oracle = simultaneous_classes(G, d).real_orbit_count
                 assert rep.values["r_moment"] == oracle, (label, d)
                 assert rep.values["sigma_weighted"] == oracle, (label, d)
+
+
+def test_identities_at_every_d_up_to_5():
+    # criteria 1 and 2 through the transfer chain, for d = 1 .. 5 on every
+    # battery group and an imported S3 x S3 x S4 table; the orbit oracle too
+    # at d = 4 and 5 wherever |G|^d is within the orbit cap
+    P = direct_product(direct_product(build("symmetric", 3), build("symmetric", 3)),
+                       build("symmetric", 4))
+    cases = [(label, build(fam, *params), table(fam, *params)) for label, fam, params in BATTERY]
+    cases.append(("S3xS3xS4", None, load_table(dump_table(character_table(P)))))
+    orbits_checked = 0
+    for label, G, T in cases:
+        for d in range(1, 6):
+            conj, rconj = kron.conj_count(T, d).values, kron.rconj_count(T, d).values
+            assert conj["kappa_sq"] == conj["burnside"], (label, d)
+            assert rconj["sigma_weighted"] == rconj["r_moment"], (label, d)
+            if d >= 4 and G is not None and G.order**d <= DEFAULT_ORBIT_CAP:
+                op = simultaneous_classes(G, d)
+                assert (op.orbit_count, op.real_orbit_count) == (
+                    conj["burnside"], rconj["r_moment"]), (label, d)
+                orbits_checked += 1
+    assert orbits_checked >= 100  # 56 groups at d = 4, 46 at d = 5
 
 
 @pytest.mark.parametrize("fam,q,count,real", [("psl2", 7, 28411, 1397),

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import _kernels, kron, modular, orbits
-from kronkit.chartab import IndicatorData, character_table, dump_table, load_table
+from kronkit import _kernels, cli, kron, modular, orbits
+from kronkit.chartab import (IndicatorData, VerificationError, character_table, dump_table,
+                              load_table)
 from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.cyclo import Cyclotomic
 from kronkit.groupcore import load_group
@@ -463,6 +464,23 @@ def test_reality_disagreement_is_a_fail_record(capsys, monkeypatch):
     assert rec["real"]["agree"] is False
 
 
+@pytest.mark.parametrize("argv,module,name,exc", [
+    (("verify", *S3, "--d", "2"), kron, "conj_count", VerificationError),
+    (("kron", *S3), kron, "conj_count", VerificationError),
+    (("classify", *S3), kron, "is_mftp", VerificationError),
+    (("chartab", *S3), cli, "character_table", VerificationError),
+    (("verify", *S3, "--subgroup-gens", "1"), orbits, "frame_pair_count", ArithmeticError),
+])
+def test_tripped_bug_trap_exits_2_in_one_line(capsys, monkeypatch, argv, module, name, exc):
+    def trap(*args, **kwargs):
+        raise exc("planted trap")
+
+    monkeypatch.setattr(module, name, trap)
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bug trap: planted trap\n"
+
+
 def test_scan_reports_match_the_recorded_bytes():
     # recorded reports: a change to any record's bytes must update them on purpose
     rep = cmd_scan(build_parser().parse_args(["scan"]))
@@ -496,7 +514,6 @@ def _c2_power_table(path, n):
 
 
 SKIP = "skipped: cap"
-SKIP_D = "skipped: d > 3"
 
 
 @pytest.mark.parametrize("cap", [13824, 13823])
@@ -533,12 +550,11 @@ def test_orbit_cap_edge(capsys, cap):
                  "error: kappa tensors exceed --kappa-cap 100000000", id="kron-C2^7-d3"),
     pytest.param(("kron", *S3, "--kappa-cap", "1"), 1,
                  "error: kappa tensors exceed --kappa-cap 1", id="kron-S3"),
-    # past d = 3 there is no kappa sum; the note says so, with or without a group
-    pytest.param(("verify", *S3, "--d", "4"), 0,
-                 {"conj_4": {"kappa_sq": SKIP_D}, "rconj_4": {"sigma_weighted": SKIP_D}},
-                 id="verify-S3-d4"),
+    # past d = 3 the transfer chain adds k^4 per step, two steps at d = 4:
+    # S3 gets every value, C2^7 (k = 128) is over the cap
+    pytest.param(("verify", *S3, "--d", "4"), 0, {}, id="verify-S3-d4"),
     pytest.param(("verify", "--table-file", "C2^7", "--d", "4"), 0,
-                 {"conj_4": {"kappa_sq": SKIP_D}, "rconj_4": {"sigma_weighted": SKIP_D}},
+                 {"conj_4": {"kappa_sq": SKIP}, "rconj_4": {"sigma_weighted": SKIP}},
                  id="verify-C2^7-d4"),
 ])
 def test_kappa_cap(capsys, tmp_path, argv, code, expected):

@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from kronkit.cyclo import (
     cyclotomic_polynomial,
     euler_phi,
     parse_value,
+    power_basis,
+    reduced_powers,
 )
 
 
@@ -23,6 +27,51 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     # x^105 has the first coefficient of magnitude 2
     assert 2 in {abs(c) for c in cyclotomic_polynomial(105)}
+
+
+def test_cyclotomic_polynomials_multiply_to_x_e_minus_1():
+    # x^e - 1 = prod_{d | e} Phi_d, the identity the Moebius product inverts
+    for e in range(1, 301):
+        product = np.ones(1, dtype=np.int64)
+        for d in range(1, e + 1):
+            if e % d == 0:
+                product = np.convolve(product, cyclotomic_polynomial(d))
+        assert product.tolist() == [-1] + [0] * (e - 1) + [1], e
+
+
+def _reference_power_basis(e):
+    """x^m mod Phi_e, m = 0 .. max(e - 1, 2 phi - 2), in Python ints."""
+    mod, rows = cyclotomic_polynomial(e), [[1] + [0] * (euler_phi(e) - 1)]
+    while len(rows) <= max(e - 1, 2 * len(mod) - 4):
+        lead, row = rows[-1][-1], [0] + rows[-1][:-1]
+        rows.append([x - lead * c for x, c in zip(row, mod)])
+    return [tuple(row) for row in rows]
+
+
+def test_reduced_powers_match_the_power_basis():
+    for e in range(1, 301):
+        basis = power_basis(e)
+        assert list(basis) == _reference_power_basis(e), e
+        r, rows = reduced_powers(e)
+        assert r == max(sum(map(abs, row)) for row in basis), e
+        assert rows and all(
+            index.tolist() == [j for j, x in enumerate(basis[m]) if x]
+            and value.tolist() == [x for x in basis[m] if x] for m, (index, value) in rows.items())
+
+
+def test_reduced_powers_at_the_largest_exponent_keep_no_basis():
+    # e = 9240 is the largest e with phi(e) <= 2048; its power basis as Python
+    # ints holds 9239 rows of 1920 coefficients, about 180 MiB
+    reduced_powers.cache_clear()
+    cyclotomic_polynomial.cache_clear()
+    tracemalloc.start()
+    try:
+        r, rows = reduced_powers(9240)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r == 1288 and len(rows) == 2730
+    assert peak < 8 * 2**20
 
 
 def test_euler_phi():

@@ -1,6 +1,4 @@
-import itertools
 import tracemalloc
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -77,25 +75,39 @@ def _kappa4(T, t):
             for a, b, c, d in np.ndindex(k, k, k, k)}
 
 
+def _four_square_tensor(x, y, z, w):
+    """A C4 table whose planted t3 is symmetric in its three slots, with
+    x at (0, 0, 0) and y, z, w at the permutations of (1, 1, 0), (2, 2, 0)
+    and (3, 3, 0): the largest diagonal entry of Phi(I), the largest sum of
+    squares of a slab t3[:, :, c], is x^2 + y^2 + z^2 + w^2."""
+    T = _fresh_table("cyclic", 4)
+    t3 = np.zeros((4, 4, 4), dtype=np.int64)
+    t3[0, 0, 0] = x
+    for i, v in ((1, y), (2, z), (3, w)):
+        t3[i, i, 0] = t3[i, 0, i] = t3[0, i, i] = v
+    return T, t3
+
+
 @pytest.mark.parametrize("above", [False, True])
 def test_kappa4_exact_at_float_bound(above):
-    # C4: two self-dual irreps and a conjugate pair
-    T = _fresh_table("cyclic", 4)
+    # the float64 certificate's edge: Phi(I) (the d = 2 and d = 3 chains, and
+    # the d=3 slabs) holds an entry of 2^53 - 1, or of exactly 2^53
+    squares = (2**26, 2**26, 0, 0) if above else (94906265, 10885, 71, 50)
+    assert sum(v * v for v in squares) == 2**53 - (not above)
+    T, t3 = _four_square_tensor(*squares)
     k = T.num_classes
-    top = isqrt((2**53 - 1) // k**2) + above  # k^2 * top^2 < 2^53 exactly when not above
-    rng = np.random.default_rng(0)
-    r = rng.integers(0, 2, size=(k, k, k))
-    # symmetric in the three slots, as every kappa tensor is
-    t3 = top - sum(r.transpose(p) for p in itertools.permutations(range(3))) % 2
-    t3[0, 0, 0] = top
+    # C4: two self-dual irreps and a conjugate pair
+    assert sorted(T.conjugate_irrep(w) != w for w in range(k)) == [False, False, True, True]
     t = _plant(T, t3)
     if above:
-        for call in (kron.conj_count, kron.rconj_count, kron.kappa_slabs):
+        calls = [(f, d) for f in (kron.conj_count, kron.rconj_count, kron.is_mftp) for d in (2, 3)]
+        for call, d in [*calls, (kron.kappa_slabs, 3)]:  # d = 2 slabs are t3 itself
             with pytest.raises(ValueError, match="too large"):
-                call(T, 3)
+                call(T, d)
         return
     t4 = _kappa4(T, t)
     s = fs_indicators(T).sigma
+    assert max(t4.values()) == 94906265**2  # kappa(0, 0, 0, 0), exact in float64
     assert kron.conj_count(T, 2).values["kappa_sq"] == sum(
         v * v for plane in t for row in plane for v in row)
     assert kron.conj_count(T, 3).values["kappa_sq"] == sum(v * v for v in t4.values())
@@ -105,6 +117,8 @@ def test_kappa4_exact_at_float_bound(above):
         s[a] * s[b] * s[c] * s[d] * v for (a, b, c, d), v in t4.items())
     slabs = np.stack(list(kron.kappa_slabs(T, 3)))
     assert all(slabs[irreps] == v for irreps, v in t4.items())
+    with pytest.raises(ValueError, match="too large"):  # Phi^2(I) is far past 2^53
+        kron.conj_count(T, 4)
 
 
 def test_conj_count_kappa_sq_exact_beyond_int64():
@@ -264,24 +278,64 @@ def test_conj_count_copies_no_tensor():
     assert peak < k**4 * 8 // 8  # an eighth of the d=3 tensor
 
 
+def _slab_sweep(T, d):
+    """The full slab sweep, kept as the oracle of the transfer-chain sums and
+    of the decisions taken from them: (sum kappa^2, sum (prod sigma) kappa,
+    least tuple with kappa >= 2, least tuple that breaks d-reality), the
+    tuples as (irreps, kappa) or None."""
+    s = np.array(fs_indicators(T).sigma)
+    rest = s
+    for _ in range(d - 1):
+        rest = np.multiply.outer(rest, s)
+    kappa_sq = sigma_weighted = 0
+    first_big = first_unreal = None
+    for a, slab in enumerate(kron.kappa_slabs(T, d)):
+        assert slab.max() < 2**16  # so each slab's int64 sums are exact
+        kappa_sq += int((slab * slab).sum())
+        sigma_weighted += int(s[a]) * int((slab * rest).sum())
+        for irreps, value in np.ndenumerate(slab):
+            if first_big is None and value >= 2:
+                first_big = ((a, *irreps), int(value))
+            if first_unreal is None and (value >= 2 or (value == 1 and s[a] * rest[irreps] != 1)):
+                first_unreal = ((a, *irreps), int(value))
+    return kappa_sq, sigma_weighted, first_big, first_unreal
+
+
+def _as_pair(result):
+    ok, wit = result
+    assert ok == (wit is None)
+    return None if ok else (wit.irreps, wit.value)
+
+
 def test_kappa_sums_equal_the_slab_sums():
+    # the sums and the decisions taken from them, against the full sweep
     P = direct_product(direct_product(build("symmetric", 3), build("symmetric", 3)),
                        build("symmetric", 4))
     tables = [table(fam, *params) for _, fam, params in BATTERY]
     tables.append(load_table(dump_table(character_table(P))))  # an import: no group
+    decided = 0
     for T in tables:
-        s = np.array(fs_indicators(T).sigma)
-        for d in (2, 3):
+        for d in (1, 2, 3):
             if kron.over_kappa_cap(T, d, kron.DEFAULT_KAPPA_CAP):
                 continue
-            rest = s[:, None] * s if d == 2 else s[:, None, None] * s[:, None] * s
-            kappa_sq = sigma_weighted = 0
-            for a, slab in enumerate(kron.kappa_slabs(T, d)):
-                assert slab.max() < 2**16  # so each slab's int64 sums are exact
-                kappa_sq += int((slab * slab).sum())
-                sigma_weighted += int(s[a]) * int((slab * rest).sum())
+            kappa_sq, sigma_weighted, first_big, first_unreal = _slab_sweep(T, d)
             assert kron.conj_count(T, d).values["kappa_sq"] == kappa_sq
             assert kron.rconj_count(T, d).values["sigma_weighted"] == sigma_weighted
+            assert _as_pair(kron.is_d_real_char(T, d)) == first_unreal
+            if d > 1:
+                assert _as_pair(kron.is_mftp(T, d)) == first_big
+            decided += 1
+    assert decided == 3 * len(tables)
+
+
+def test_failing_sum_without_witness_is_a_bug_trap(monkeypatch):
+    T = _fresh_table("symmetric", 3)  # MFTP and doubly real: no slab holds a witness
+    monkeypatch.setattr(kron, "_kappa_sums", lambda T, d: (10, 11, 11))
+    with pytest.raises(VerificationError, match="no kappa slab"):
+        kron.is_mftp(T, 2)
+    monkeypatch.setattr(kron, "_kappa_sums", lambda T, d: (11, 11, 10))
+    with pytest.raises(VerificationError, match="no kappa slab"):
+        kron.is_d_real_char(T, 2)
 
 
 def test_sign_law_violations_lists_each_triple():
