@@ -89,7 +89,8 @@ class CharacterTable:
 
     @cached_property
     def irreps(self) -> tuple[Character, ...]:
-        """The characters as ``Cyclotomic`` values, built on first use."""
+        """The characters as ``Cyclotomic`` values, built on first use
+        straight from the integer coefficient rows (denominator 1)."""
         e = self.exponent
         return tuple(Character(degree=row[0][0], values=tuple(Cyclotomic(e, v) for v in row))
                      for row in self.coeffs.tolist())

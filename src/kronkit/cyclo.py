@@ -6,8 +6,9 @@ reduction modulo the e-th cyclotomic polynomial, so equality at a common
 conductor is plain coefficient equality.  ``_terms`` reads the value
 grammar "c:[i=a/b,...]", ``format_value`` writes it, and ``parse_value``
 reads a value straight into its integer row at an exponent.  ``Cyclotomic``
-(``fractions.Fraction`` coefficients, no floats) is the tests' reference
-and the ``CharacterTable.irreps`` view; no command builds one.
+(one row of Python ints over one positive denominator, in lowest terms; no
+floats) is the tests' reference and the ``CharacterTable.irreps`` view; no
+command builds one.
 """
 
 from __future__ import annotations
@@ -111,10 +112,15 @@ def reduced_powers(e: int) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]
     return r, rows
 
 
-def format_value(e: int, coeffs) -> str:
-    """The exchange form "e:[i=num/den,...]" of power-basis coefficients at
-    conductor e (ints or Fractions), listing the nonzero ones."""
-    parts = [f"{i}={c.numerator}/{c.denominator}" for i, c in enumerate(coeffs) if c]
+def format_value(e: int, num, den: int = 1) -> str:
+    """The exchange form "e:[i=a/b,...]" of the value with power-basis
+    coefficients num[i] / den at conductor e (ints, den > 0), listing the
+    nonzero ones, each in lowest terms."""
+    parts = []
+    for i, a in enumerate(num):
+        if a:
+            g = gcd(a, den)
+            parts.append(f"{i}={a // g}/{den // g}")
     return f"{e}:[{','.join(parts)}]"
 
 
@@ -165,18 +171,44 @@ def parse_value(text: str, e: int) -> list[int]:
     return [x // den for x in row]
 
 
+def _is_scalar(x) -> bool:
+    """True for an int or a Fraction.  The int test comes first, so that
+    integral arithmetic never reads ``Fraction``."""
+    return isinstance(x, int) or isinstance(x, Fraction)
+
+
 class Cyclotomic:
-    """An exact element of Q(zeta_e) in reduced power-basis form."""
+    """An exact element of Q(zeta_e): the integer power-basis row ``num``
+    over the positive denominator ``den``, in lowest terms (gcd(den, *num) is
+    1, the zero value has den 1), so that equality at a common conductor is
+    tuple equality.  The entries are Python ints, exact at any size."""
 
-    __slots__ = ("e", "coeffs")
+    __slots__ = ("e", "num", "den")
 
-    def __init__(self, e: int, coeffs):
+    def __init__(self, e: int, coeffs, den: int = 1):
+        """The value sum coeffs[i] zeta^i / den: each coefficient an int or a
+        Fraction, den a nonzero int.  A float anywhere is a TypeError."""
+        num = tuple(coeffs)
         phi = euler_phi(e)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != phi:
+        if len(num) != phi:
             raise ValueError(f"need {phi} coefficients for conductor {e}")
+        if not isinstance(den, int):
+            raise TypeError(f"denominator {den!r} is not an int")
+        if set(map(type, num)) != {int}:
+            if not all(_is_scalar(c) for c in num):
+                raise TypeError(f"coefficients {num!r} are not all ints or Fractions")
+            common = lcm(*(c.denominator for c in num))
+            num = tuple(c.numerator * (common // c.denominator) for c in num)
+            den *= common
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("zero denominator")
+            g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+            if g != 1:
+                num, den = tuple(c // g for c in num), den // g
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyclotomic values are immutable")
@@ -185,15 +217,12 @@ class Cyclotomic:
 
     @staticmethod
     def rational(r, e: int = 1) -> "Cyclotomic":
-        r = Fraction(r)
-        phi = euler_phi(e)
-        return Cyclotomic(e, (r,) + (Fraction(0),) * (phi - 1))
+        return Cyclotomic(e, (r,) + (0,) * (euler_phi(e) - 1))
 
     @staticmethod
     def root(e: int, k: int = 1) -> "Cyclotomic":
         """zeta_e^k reduced mod Phi_e."""
-        row = power_basis(e)[k % e]
-        return Cyclotomic(e, row)
+        return Cyclotomic(e, power_basis(e)[k % e])
 
     @staticmethod
     def zero(e: int = 1) -> "Cyclotomic":
@@ -210,79 +239,86 @@ class Cyclotomic:
 
     def _substitute(self, e: int, k: int) -> "Cyclotomic":
         """The value with zeta^i replaced by zeta_e^(i k) in every term."""
-        basis = power_basis(e)
-        out = [Fraction(0)] * euler_phi(e)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, b in enumerate(basis[(i * k) % e]):
-                    if b:
-                        out[j] += c * b
-        return Cyclotomic(e, out)
+        out = [0] * euler_phi(e)
+        if self.is_rational():
+            out[0] = self.num[0]
+        else:
+            basis = power_basis(e)
+            for i, c in enumerate(self.num):
+                if c:
+                    for j, x in enumerate(basis[(i * k) % e]):
+                        if x:
+                            out[j] += c * x
+        return Cyclotomic(e, out, self.den)
 
     @staticmethod
-    def _common(a: "Cyclotomic", b) -> tuple["Cyclotomic", "Cyclotomic"]:
-        if not isinstance(b, Cyclotomic):
-            b = Cyclotomic.rational(b, 1)
+    def _common(a: "Cyclotomic", b: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
         e = lcm(a.e, b.e)
         return a.promote(e), b.promote(e)
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, (Cyclotomic, int, Fraction)):
-            return NotImplemented
+    def _plus(self, other, sign: int) -> "Cyclotomic":
+        """self + sign * other, or NotImplemented for an unknown other."""
+        if not isinstance(other, Cyclotomic):
+            if not _is_scalar(other):
+                return NotImplemented
+            other = Cyclotomic.rational(other)
         a, b = Cyclotomic._common(self, other)
-        return Cyclotomic(a.e, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den = lcm(a.den, b.den)
+        s, t = den // a.den, sign * (den // b.den)
+        return Cyclotomic(a.e, [x * s + y * t for x, y in zip(a.num, b.num)], den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.e, tuple(-c for c in self.coeffs))
+        return Cyclotomic(self.e, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (Cyclotomic, int, Fraction)):
-            return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return Cyclotomic(a.e, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.e, tuple(c * other for c in self.coeffs))
         if not isinstance(other, Cyclotomic):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            return Cyclotomic(self.e, [c * other.numerator for c in self.num],
+                              self.den * other.denominator)
+        if self.is_rational() or other.is_rational():
+            # scale the other factor, at the common conductor, by the rational one
+            r, v = (self, other) if self.is_rational() else (other, self)
+            v = v.promote(lcm(self.e, other.e))
+            return Cyclotomic(v.e, [c * r.num[0] for c in v.num], v.den * r.den)
         a, b = Cyclotomic._common(self, other)
-        if a.is_rational():
-            return Cyclotomic(b.e, tuple(a.coeffs[0] * c for c in b.coeffs))
-        if b.is_rational():
-            return Cyclotomic(a.e, tuple(b.coeffs[0] * c for c in a.coeffs))
-        phi = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
+        phi = len(a.num)
+        terms = [(j, y) for j, y in enumerate(b.num) if y]
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
+                for j, y in terms:
+                    conv[i + j] += x * y
         basis = power_basis(a.e)
-        out = list(conv[:phi])
+        out = conv[:phi]
         for m in range(phi, 2 * phi - 1):
             c = conv[m]
             if c:
-                row = basis[m]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(a.e, out)
+                for j, x in enumerate(basis[m]):
+                    if x:
+                        out[j] += c * x
+        return Cyclotomic(a.e, out, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / Fraction(other)
-            return self * inv
-        return NotImplemented
+        if not _is_scalar(other):
+            return NotImplemented
+        return Cyclotomic(self.e, [c * other.denominator for c in self.num],
+                          self.den * other.numerator)
 
     def galois(self, k: int) -> "Cyclotomic":
         """Image under zeta_e -> zeta_e^k (requires gcd(k, e) = 1)."""
@@ -299,42 +335,44 @@ class Cyclotomic:
     # -- predicates and extraction ----------------------------------------
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRationalError(f"not rational: {self.serialize()}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
-        """True when all reduced coefficients have denominator 1."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        """True when the reduced denominator is 1."""
+        return self.den == 1
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return a.coeffs == b.coeffs
+        if isinstance(other, Cyclotomic):
+            a, b = Cyclotomic._common(self, other)
+            return (a.num, a.den) == (b.num, b.den)
+        if _is_scalar(other):  # both in lowest terms
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     __hash__ = None  # mutable-free but conductor-sensitive; not hashable
 
     # -- serialization: "e:[i=num/den,...]" --------------------------------
 
     def serialize(self) -> str:
-        return format_value(self.e, self.coeffs)
+        return format_value(self.e, self.num, self.den)
 
     @staticmethod
     def parse(text: str) -> "Cyclotomic":
         e, terms = _terms(text)
-        coeffs = [Fraction(0)] * euler_phi(e)
+        den = lcm(*(b for _, b in terms.values()))
+        num = [0] * euler_phi(e)
         for i, (a, b) in terms.items():
-            coeffs[i] = Fraction(a, b)
-        return Cyclotomic(e, coeffs)
+            num[i] = a * (den // b)
+        return Cyclotomic(e, num, den)
 
     def __repr__(self):
         return f"Cyclotomic({self.serialize()})"

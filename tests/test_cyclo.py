@@ -1,11 +1,16 @@
+import cmath
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronkit import cyclo
+from kronkit.chartab import load_table
 from kronkit.cyclo import (
     Cyclotomic,
     NotRationalError,
@@ -129,6 +134,24 @@ def test_division_by_rational():
     assert (z + 1).is_integral()
 
 
+def test_coefficients_are_ints_or_fractions():
+    with pytest.raises(TypeError):
+        Cyclotomic.rational(0.1)
+    with pytest.raises(TypeError):
+        Cyclotomic(4, [0.5, 1])
+    with pytest.raises(TypeError):
+        Cyclotomic(4, [1, np.float64(2)])
+    with pytest.raises(TypeError):
+        Cyclotomic(4, [1, 2], 2.0)
+    z = Cyclotomic.root(4)
+    for op in (lambda: z * 0.5, lambda: 0.5 * z, lambda: z + 0.5, lambda: z / 0.5):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ZeroDivisionError):
+        z / 0
+    assert Cyclotomic(4, [True, Fraction(4, 2)]).num == (1, 2)
+
+
 def test_promotion_and_equality():
     one_a = Cyclotomic.rational(1, 1)
     one_b = Cyclotomic.rational(1, 12)
@@ -199,10 +222,94 @@ def test_parse_value_matches_the_cyclotomic_reference(value):
     text, e = value
     try:
         reference = Cyclotomic.parse(text).promote(e)
-        expected = [int(c) for c in reference.coeffs] if reference.is_integral() else None
+        expected = list(reference.num) if reference.is_integral() else None
     except ValueError:
         expected = None
     try:
         assert parse_value(text, e) == expected
     except ValueError:
         assert expected is None
+
+
+def _complex(v: Cyclotomic, e: int | None = None) -> complex:
+    """v as a complex number, sum num[i] zeta^i / den with zeta = exp(2 pi i / e)."""
+    zeta = cmath.exp(2j * cmath.pi / (e or v.e))
+    return sum(c * zeta**i for i, c in enumerate(v.num)) / v.den
+
+
+def _fraction_form(v: Cyclotomic) -> str:
+    """The exchange form written from Fraction coefficients, as it was before
+    values were kept as one integer row over one denominator."""
+    coeffs = [Fraction(c, v.den) for c in v.num]
+    parts = [f"{i}={c.numerator}/{c.denominator}" for i, c in enumerate(coeffs) if c]
+    return f"{v.e}:[{','.join(parts)}]"
+
+
+def _assert_canonical(v: Cyclotomic):
+    assert v.den > 0 and gcd(v.den, *v.num) == 1
+    assert all(type(c) is int for c in (*v.num, v.den))
+    assert v.serialize() == _fraction_form(v)
+    assert Cyclotomic.parse(v.serialize()) == v
+
+
+def _close(a: complex, b: complex) -> bool:
+    return abs(a - b) < 1e-9
+
+
+@st.composite
+def fractional_elements(draw, e):
+    """A value of Q(zeta_e) from small power-basis Fractions, often zero or rational."""
+    phi = euler_phi(e)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    shape = draw(st.sampled_from(["zero", "rational", "general", "general"]))
+    if shape == "zero":
+        return Cyclotomic.zero(e)
+    if shape == "rational":
+        return Cyclotomic.rational(draw(coeff), e)
+    return Cyclotomic(e, [draw(coeff) for _ in range(phi)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15, 30]))
+def test_arithmetic_matches_complex_evaluation(data, e):
+    a = data.draw(fractional_elements(e))
+    b = data.draw(fractional_elements(data.draw(st.sampled_from([1, e]))))
+    k = data.draw(st.sampled_from([k for k in range(1, e) if gcd(k, e) == 1]))
+    m = data.draw(st.sampled_from([1, 2, 3]))
+    va, vb = _complex(a), _complex(b)
+    galois = sum(c * cmath.exp(2j * cmath.pi * i * k / e) for i, c in enumerate(a.num)) / a.den
+    for got, want in ((a, va), (b, vb), (a + b, va + vb), (a - b, va - vb), (a * b, va * vb),
+                      (b * a, va * vb), (a.galois(k), galois), (a.conjugate(), va.conjugate()),
+                      (a.promote(m * e), va), (a * 6 / 4, va * 1.5),
+                      (a / Fraction(-2, 3), va * -1.5), (3 - a, 3 - va)):
+        assert _close(_complex(got), want), (a, b, got)
+        _assert_canonical(got)
+    assert (a + b).e == (a * b).e == e and a.promote(m * e).e == m * e
+
+
+def _golden(name):
+    return load_table(resources.files("kronkit").joinpath(f"data/golden/{name}.tbl").read_text())
+
+
+def test_integral_arithmetic_builds_no_fraction(monkeypatch):
+    # the steps of the benchmark's imported product tables: irreps, the
+    # products, promote and serialize, all on integer rows with den 1
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(cyclo, "Fraction", refuse)
+    A5, S3 = _golden("A5"), _golden("S3")
+    e = lcm(A5.exponent, S3.exponent)
+    texts = []
+    for chi in A5.irreps:
+        for psi in S3.irreps:
+            for a in chi.values:
+                for b in psi.values:
+                    v = (a * b).promote(e)
+                    assert v.is_integral()
+                    texts.append(v.serialize())
+                    assert parse_value(texts[-1], e) == list(v.num)
+    assert len(texts) == (A5.num_classes * S3.num_classes) ** 2
+    monkeypatch.undo()
+    assert texts == [_fraction_form((a * b).promote(e)) for chi in A5.irreps
+                     for psi in S3.irreps for a in chi.values for b in psi.values]
