@@ -148,7 +148,9 @@ def cmd_kron(args) -> Report:
             Record(name="kappa" + str(res.irreps), values={"kappa": res.value})
         )
         return rep
-    if any(kron.over_kappa_cap(T, d, args.kappa_cap) for d in ds):
+    # the maximum sweeps every slab: at d = 3 that is k of them, at d = 2 t3 itself
+    if any(kron.over_kappa_cap(T, d, args.kappa_cap, slabs=T.num_classes if d == 3 else 0)
+           for d in ds):
         raise ValueError(f"kappa tensors exceed --kappa-cap {args.kappa_cap}")
     for d in ds:
         # sum of squares = |conj_d(G)|, which Burnside's lemma also counts

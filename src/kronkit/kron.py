@@ -3,26 +3,31 @@
 kappa(V_1,...,V_{d+1}) is always computed classwise from exact character
 values, as a class sum modulo primes at one embedding of Z[zeta_e] into
 F_p per prime, recovered exactly (see ``modular``, which also holds the
-Galois certificate that makes one embedding enough).  The d=2 coefficient
-tensor t3 is the workhorse: one exact float64 (k^2 x k) by (k x k) matrix
-product per prime.  Everything else is read off t3 through the transfer
-matrices K_V[W, U] = kappa(W, V, U'), U' dual to U: kappa(V_1, ..., V_{d+1})
-is entry [V_1, V_{d+1}'] of K_{V_2} ... K_{V_d}.  The sums over all tuples,
-at every d, are short matrix chains (``_kappa_sums``); no k^4 tensor is
-held, and witnesses and maxima come from ``kappa_slabs``, a slab at a time.
+Galois certificate that makes one embedding enough).  MFTP and d-reality
+are decided from three such sums, with no tensor.  The d=2 coefficient
+tensor t3 is one exact float64 (k^2 x k) by (k x k) matrix product per
+prime.  The second derivations of the counting records are read off it
+through the transfer matrices K_V[W, U] = kappa(W, V, U'), U' dual to U:
+kappa(V_1, ..., V_{d+1}) is entry [V_1, V_{d+1}'] of K_{V_2} ... K_{V_d}.
+Their sums over all tuples are short matrix chains (``_kappa_sums``); no
+k^4 tensor is held, and witnesses and maxima come from ``kappa_slabs``, a
+slab at a time.
 
 Every checked number is reported as a ``Record``: the values of its
 independent derivations, which must agree, and a note for each derivation
 that was left out.  This module builds the character-side records
 (``conj_count``, ``rconj_count``, ``frame_verify``, ``hecke_dimension``,
 ``gelfand_symmetric`` and ``classify``), each value computed once; the
-command line adds the group-side oracle values.  The kappa cap is checked
-here, by ``over_kappa_cap``, before any tensor is built.
+command line adds the group-side oracle values.  The kappa cap prices the
+work that runs (``kappa_price``), before t3, a chain or a slab is built; it
+never stops a decision.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from math import prod
 from operator import mul
 from typing import Optional
@@ -31,13 +36,14 @@ import numpy as np
 
 from . import modular
 from .chartab import CharacterTable, SubgroupSpec, VerificationError, dim_fixed_space, fs_indicators
-from .cyclo import euler_phi
 
-# Work bound for the kappa sums (see ``over_kappa_cap``).  Only the d=2
-# tensor and a few arrays of its size are held.  ``classify`` peaked above
-# the interpreter's ru_maxrss by 10.6 MiB on an imported C2^6 table (k = 64,
-# 262K d=2 entries) and by 19.9 MiB on C3^4 (k = 81, 531K entries; the cap
-# admits k <= 100 at d = 3).
+# Work bound for the kappa tensors, in multiply-adds (see ``kappa_price``).
+# Under it a d = 2 witness builds t3 for k <= 118, the d = 2 and d = 3 sums
+# and slab 0 of a d = 3 witness search run for k <= 90, and the d = 4 and
+# d = 5 sums for k <= 79.  Only t3 and a few arrays of its size are held:
+# ``verify --d 2 3`` and ``classify`` (a d = 2 witness) each peaked 13 MiB
+# above the interpreter's ru_maxrss on an imported C3^4 table (k = 81, 531K
+# d=2 entries).
 DEFAULT_KAPPA_CAP = 10**8
 SKIPPED = "skipped: cap"
 
@@ -156,50 +162,48 @@ def _pair(x: np.ndarray, y: np.ndarray) -> int:  # sum x * y, in Python ints
 
 
 # The transfer chain.  With K_V[W, U] = kappa(W, V, U') (module docstring),
-# J = sum_V K_V, S = sum_V sigma(V) K_V and Phi(X) = sum_V K_V^T X K_V, the
-# sums over all (d+1)-tuples are (as sigma(U') = sigma(U))
+# S = sum_V sigma(V) K_V and Phi(X) = sum_V K_V^T X K_V, the sums over all
+# (d+1)-tuples are (as sigma(U') = sigma(U))
 #
-#     sum kappa = 1^T J^(d-1) 1,   sum (prod sigma) kappa = sigma^T S^(d-1) sigma,
-#     sum kappa^2 = trace Phi^(d-1)(I).
+#     sum kappa^2 = trace Phi^(d-1)(I),   sum (prod sigma) kappa = sigma^T S^(d-1) sigma.
 #
 # t3 is symmetric in its slots, so K_V = T_V P with T_V = t3[:, V, :]
-# symmetric and P the conjugation permutation: J^T = P J P, S^T = P S P, and
-# the adjoint of Phi is P Phi(P . P) P.  So each sum pairs the chain's step
-# a = floor(d/2), permuted by P, with its step b = d - 1 - a: one chain of a
-# steps in float64, and the pairing in Python ints, which may pass 2^63.  At
-# d = 1 the chain is empty and builds no tensor.
+# symmetric and P the conjugation permutation: S^T = P S P, and the adjoint
+# of Phi is P Phi(P . P) P.  So each sum pairs the chain's step a = floor(d/2),
+# permuted by P, with its step b = d - 1 - a: one chain of a steps in
+# float64, and the pairing in Python ints, which may pass 2^63.  At d = 1
+# the chain is empty and builds no tensor.
 #
-# Exactness.  J, the J chain and the Phi chain have non-negative entries and
-# are ``_certified``.  |S| <= J and |sigma| <= 1 entrywise, so every partial
-# sum of the sigma chain is at most the certified J chain entry in size.
-# Phi^j(I) is a sum of M^T M over products M of j transfer matrices: positive
-# semidefinite with non-negative entries, so its largest entry is a diagonal
-# one, at most its trace |conj_(j+1)(G)|.  For a group's table the
-# certificate therefore holds while |conj_(a+1)(G)| < 2^53.
-def _kappa_sums(T: CharacterTable, d: int) -> tuple[int, int, int]:
-    """(sum kappa, sum kappa^2, sum (prod sigma) kappa) over all (d+1)-tuples
-    of irreps, as exact Python ints, cached on the table."""
+# Exactness.  Phi^j(I) is a sum of M^T M over the products M of j transfer
+# matrices: positive semidefinite with non-negative entries, so its largest
+# entry is a diagonal one, at most its trace |conj_(j+1)(G)|.  The Phi chain
+# is ``_certified``; for a group's table that holds while |conj_(a+1)(G)| <
+# 2^53.  The sigma chain is signed, so its bound comes from Phi.  With J =
+# sum_V K_V, |S| <= J and |sigma| <= 1 entrywise, so every product and
+# partial sum of (S^j sigma)[w] is at most (J^j 1)[w] in size.  J^T = P J P,
+# so that is the column sum at w' of J^j = sum M, and as M <= M^2 entrywise
+# (non-negative integers) it is at most Phi^j(I)[w', w'], which is certified.
+def _kappa_sums(T: CharacterTable, d: int) -> tuple[int, int]:
+    """(sum kappa^2, sum (prod sigma) kappa) over all (d+1)-tuples of
+    irreps, as exact Python ints, cached on the table."""
     sums = T._cache.get(("kappa_sums", d))
     if sums is not None:
         return sums
     k, perm = T.num_classes, _conjugation(T)
-    # chain[j] = [J^j 1, Phi^j(I), S^j sigma], cached for every d
-    chain = T._cache.setdefault(
-        "transfer", [[np.ones(k), np.eye(k), _sigma_vector(T).astype(np.float64)]])
+    # chain[j] = [Phi^j(I), S^j sigma], cached for every d
+    chain = T._cache.setdefault("transfer", [[np.eye(k), _sigma_vector(T).astype(np.float64)]])
     if len(chain) <= d // 2:
         t3 = kappa_tensor3(T).astype(np.float64)
         rows, cols = t3.reshape(k * k, k), t3.reshape(k, k * k)
-        J = _certified(t3.sum(axis=0))[:, perm]
-        S = (chain[0][2] @ cols).reshape(k, k)[:, perm]
+        S = (chain[0][1] @ cols).reshape(k, k)[:, perm]
         while len(chain) <= d // 2:
-            x, X, y = chain[-1]
+            X, y = chain[-1]
             # Phi(X) = P (sum_V T_V X T_V) P; XT[(w, V), b] = (X T_V)[w, b],
             # which at X = I is t3 itself
             XT = rows if len(chain) == 1 else (X @ cols).reshape(k * k, k)
-            chain.append([_certified(J @ x), _certified(rows.T @ XT)[perm][:, perm], S @ y])
-    (j_a, phi_a, s_a), (j_b, phi_b, s_b) = chain[d // 2], chain[(d - 1) // 2]
-    sums = T._cache[("kappa_sums", d)] = (
-        _pair(j_a[perm], j_b), _pair(phi_a[perm][:, perm], phi_b), _pair(s_a[perm], s_b))
+            chain.append([_certified(rows.T @ XT)[perm][:, perm], S @ y])
+    (phi_a, s_a), (phi_b, s_b) = chain[d // 2], chain[(d - 1) // 2]
+    sums = T._cache[("kappa_sums", d)] = (_pair(phi_a[perm][:, perm], phi_b), _pair(s_a[perm], s_b))
     return sums
 
 
@@ -233,86 +237,135 @@ def kappa_slabs(T: CharacterTable, d: int):
     return map(slab, range(k))
 
 
-def over_kappa_cap(T: CharacterTable, d: int, cap: int) -> bool:
-    """True when the d-tuple sums would do kappa work above ``cap``: the d=2
-    tensor's k^3 entries phi(e)^2 times (the price of its modular sums at
-    every embedding, kept so that the cap skips the same records), plus k^4
-    at d = 3 and k^4 per chain step, floor(d/2) of them, at d >= 4.  d = 1
-    builds no tensor."""
-    if d == 1:
-        return False
+def kappa_price(T: CharacterTable, steps: int = 0, slabs: int = 0) -> int:
+    """The multiply-adds, per prime, of t3, about k^4/2 (a (k^2/2 x k) by
+    (k x k) product), then of ``steps`` transfer-chain steps and ``slabs``
+    d=3 slabs, about k^4 each (a (k x k^2) by (k^2 x k) product, and k
+    products of two k x k matrices)."""
     k = T.num_classes
-    steps = 0 if d == 2 else d // 2
-    return k**3 * euler_phi(T.exponent) ** 2 + steps * k**4 > cap
+    return k**4 // 2 + (steps + slabs) * k**4
+
+
+def over_kappa_cap(T: CharacterTable, d: int, cap: int, slabs: int = 0) -> bool:
+    """True when the d-tuple sums, t3 and floor(d/2) chain steps, and then
+    ``slabs`` d=3 slabs would price above ``cap``.  d = 1 builds no tensor."""
+    return d > 1 and kappa_price(T, d // 2, slabs) > cap
 
 
 # -- counting records ----------------------------------------------------------
 
+# Three class sums decide MFTP and d-reality.  As kappa(V_1, ..., V_{d+1})
+# = (1/|G|) sum_c |C_c| prod_i chi_{V_i}(c), summing over all tuples gives,
+# identically for any table,
+#
+#     sum kappa = (1/|G|) sum_c |C_c| psi(c)^(d+1),   psi = sum_V chi_V,
+#     sum (prod sigma) kappa = (1/|G|) sum_c |C_c| r(c)^(d+1),
+#
+# r = sum_V sigma(V) chi_V, as ``fs_indicators`` computes it.  Galois
+# permutes the classes of a certified table and keeps their sizes
+# (``modular``), so it fixes each kappa: kappa is rational, sum kappa^2 = sum
+# kappa conj(kappa), and by column orthogonality, sum_V chi_V(c)
+# conj(chi_V(c')) = [c = c'] |G| / |C_c|,
+#
+#     sum kappa^2 = (1/|G|) sum_c |C_c| (|G| / |C_c|)^d,   Burnside's count.
+#
+# Column orthogonality follows from the row orthogonality of a square table
+# (X D X* = |G| I with D = diag |C_c| gives X* X = |G| D^-1), and both
+# ``character_table`` and ``load_table`` check that.  For a group's table
+# Galois also permutes the irreps, so psi(c) is a rational integer and an
+# irrational psi can only come from a bug.  There kappa is a multiplicity,
+# so term by term kappa^2 >= kappa >= (prod sigma) kappa, prod sigma being
+# -1, 0 or 1.  The first is an equality exactly when kappa is 0 or 1, the
+# second when moreover prod sigma = 1 wherever kappa = 1.  So each decision
+# compares two sums, and searches slabs only for the witness.
+
+def _moment(T: CharacterTable, values, power: int, what: str) -> int:
+    """(1/|G|) sum_c |C_c| values[c]^power, exactly."""
+    total = sum(s * v**power for s, v in zip(T.sizes, values))
+    if total % T.order:
+        raise VerificationError(f"{what} not integral")
+    return total // T.order
+
+
+def _burnside(T: CharacterTable, d: int) -> int:
+    return _moment(T, [T.order // s for s in T.sizes], d, "Burnside sum")
+
+
+def _r_moment(T: CharacterTable, d: int) -> int:
+    return _moment(T, fs_indicators(T).r, d + 1, "square-root moment")
+
+
+def _psi_moment(T: CharacterTable, d: int) -> int:
+    # both table constructors build ``modular.images``, which refuses more
+    # than 2^11 classes, and every coefficient lies below 2^52 in size, so
+    # these int64 sums over the irreps are exact
+    psi = T.coeffs.sum(axis=0)
+    if psi[:, 1:].any():
+        raise VerificationError("sum of the irreducible characters not rational")
+    return _moment(T, psi[:, 0].tolist(), d + 1, "psi moment")
+
+
 def conj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
     """|conj_d(G)| by Burnside's lemma, (1/|G|) sum_c |C_c| |C_G(c)|^d, and
     by the kappa-square sum."""
-    total = sum(s * (T.order // s) ** d for s in T.sizes)
-    if total % T.order:
-        raise VerificationError("Burnside sum not integral")
-    rec = Record(f"conj_{d}", {"burnside": total // T.order})
+    rec = Record(f"conj_{d}", {"burnside": _burnside(T, d)})
     if over_kappa_cap(T, d, kappa_cap):
         rec.notes["kappa_sq"] = SKIPPED
     else:
-        rec.values["kappa_sq"] = _kappa_sums(T, d)[1]
+        rec.values["kappa_sq"] = _kappa_sums(T, d)[0]
     return rec
 
 
 def rconj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
     """|rconj_d(G)| via the square-root moment and the sigma-weighted
     Kronecker sum."""
-    total = sum(s * rc ** (d + 1) for s, rc in zip(T.sizes, fs_indicators(T).r))
-    if total % T.order:
-        raise VerificationError("square-root moment not integral")
-    rec = Record(f"rconj_{d}", {"r_moment": total // T.order})
+    rec = Record(f"rconj_{d}", {"r_moment": _r_moment(T, d)})
     if over_kappa_cap(T, d, kappa_cap):
         rec.notes["sigma_weighted"] = SKIPPED
     else:
-        rec.values["sigma_weighted"] = _kappa_sums(T, d)[2]
+        rec.values["sigma_weighted"] = _kappa_sums(T, d)[1]
     return rec
 
 
-def _least_witness(T: CharacterTable, d: int, bad) -> KroneckerResult:
+def _least_witness(T: CharacterTable, d: int, bad, cap: int) -> Optional[KroneckerResult]:
     """The lexicographically least (d+1)-tuple of irreps where
-    ``bad(a, slab)`` holds, with its kappa, once a sum has shown one exists."""
-    for a, slab in enumerate(kappa_slabs(T, d)):
+    ``bad(a, slab)`` holds, with its kappa, once a sum has shown one exists;
+    None when the cap stops the search first.  d = 1 builds no tensor, d = 2
+    pays for t3, and d = 3 also for each slab it visits."""
+    # irrep 0 of a group's table is linear (``character_table`` sorts by
+    # degree), and kappa(lambda, b, c, d) = kappa(b, c, lambda d) for a linear
+    # lambda, so d=3 slab 0 holds a copy of t3: where MFTP fails at d = 2, the
+    # least d = 3 witness lies in slab 0
+    k, spare = T.num_classes, cap - kappa_price(T)
+    budget = k if d == 1 else 0 if spare < 0 else k if d == 2 else min(k, spare // k**4)
+    for a, slab in zip(range(budget), kappa_slabs(T, d) if budget else ()):
         mask = bad(a, slab)
         first = int(mask.argmax())  # the first True in C (lexicographic) order
         if mask.flat[first]:
             index = np.unravel_index(first, mask.shape)
             return KroneckerResult(irreps=(a, *map(int, index)), value=int(slab[index]))
+    if budget < k:
+        return None
     raise VerificationError("a kappa sum fails but no kappa slab shows where")
 
 
-# Term by term kappa^2 >= kappa >= (prod sigma) kappa, as kappa >= 0 and
-# prod sigma is -1, 0 or 1.  The first is an equality exactly when kappa is 0
-# or 1, the second when moreover prod sigma = 1 wherever kappa = 1.  So each
-# decision below compares two sums, and searches slabs only for the witness.
-
-def is_mftp(T: CharacterTable, d: int = 2):
-    """(all kappa <= 1, least witness tuple with kappa >= 2 otherwise)."""
-    total, squares, _ = _kappa_sums(T, d)
-    if total == squares:
+def is_mftp(T: CharacterTable, d: int = 2, kappa_cap: int = DEFAULT_KAPPA_CAP):
+    """(all kappa <= 1, least witness tuple with kappa >= 2 otherwise, or
+    None when the witness is over ``kappa_cap``)."""
+    if _psi_moment(T, d) == _burnside(T, d):
         return True, None
-    return False, _least_witness(T, d, lambda a, slab: slab >= 2)
+    return False, _least_witness(T, d, lambda a, slab: slab >= 2, kappa_cap)
 
 
-def is_d_real_char(T: CharacterTable, d: int):
+def is_d_real_char(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP):
     """Character-side d-reality test: kappa <= 1 everywhere and the sigma
-    product is 1 on every kappa = 1 tuple."""
-    _, squares, signed = _kappa_sums(T, d)
-    if signed == squares:
+    product is 1 on every kappa = 1 tuple; the witness as for ``is_mftp``."""
+    if _r_moment(T, d) == _burnside(T, d):
         return True, None
     s = _sigma_vector(T)
-    rest = s  # the sigma product of the last d irreps of a tuple
-    for _ in range(d - 1):
-        rest = np.multiply.outer(rest, s)
+    rest = reduce(np.multiply.outer, [s] * d)  # the sigma product of the last d irreps
     return False, _least_witness(
-        T, d, lambda a, slab: (slab >= 2) | ((slab == 1) & (s[a] * rest != 1)))
+        T, d, lambda a, slab: (slab >= 2) | ((slab == 1) & (s[a] * rest != 1)), kappa_cap)
 
 
 def frame_verify(T: CharacterTable, K: SubgroupSpec) -> Record:
@@ -340,30 +393,19 @@ def combinatorial_profile(T: CharacterTable) -> CombinatorialProfile:
     the group cannot have multiplicity-free tensor products (``classify``
     checks this against the kappa tensor)."""
     n = T.order
-    cent_census: dict[int, int] = {}
+    cent_census = Counter()  # Counters compare equal when they differ in zero counts only
     for size in T.sizes:  # a class of size s has centralizer order n / s
-        cent_census[n // size] = cent_census.get(n // size, 0) + size
-    z = cent_census.get(n, 0)  # number of central elements
-    deg_census: dict[int, int] = {}
-    for dgr in T.degrees:
-        deg_census[dgr] = deg_census.get(dgr, 0) + 1
+        cent_census[n // size] += size
+    z = cent_census[n]  # number of central elements
     for q in range(3, n + 1):
-        if n % q:
-            continue
         a = n // q
-        if not z < a:
+        if n % q or z >= a or (a - z) % q:
             continue
-        expected = {}
+        expected = Counter()
         for cent, cnt in ((n, z), (a, a - z), (z * q, a * (q - 1))):
-            if cnt:
-                expected[cent] = expected.get(cent, 0) + cnt
-        if expected != cent_census:
-            continue
-        if (a - z) % q:
-            continue
-        if deg_census != ({1: z * q, q: (a - z) // q} if (a - z) // q else {1: z * q}):
-            continue
-        return CombinatorialProfile(matched=True, z=z, a=a, q=q)
+            expected[cent] += cnt
+        if expected == cent_census and Counter(T.degrees) == Counter({1: z * q, q: (a - z) // q}):
+            return CombinatorialProfile(matched=True, z=z, a=a, q=q)
     return CombinatorialProfile(matched=False)
 
 
@@ -397,15 +439,13 @@ def classify(T: CharacterTable, kappa_cap: int = DEFAULT_KAPPA_CAP) -> list[Reco
     records = [real]
     for name, d, decide in (("mftp_2", 2, is_mftp), ("mftp_3", 3, is_mftp),
                             ("doubly_real", 2, is_d_real_char)):
-        rec = Record(name)
-        if over_kappa_cap(T, d, kappa_cap):
-            rec.notes["char"] = SKIPPED
-        else:
-            ok, wit = decide(T, d)
-            rec.values["char"], rec.witness = int(ok), _witness(wit)
+        ok, wit = decide(T, d, kappa_cap)
+        rec = Record(name, {"char": int(ok)}, witness=_witness(wit))
+        if not ok and wit is None:
+            rec.notes["witness"] = SKIPPED
         records.append(rec)
-    mftp_2, doubly = records[1].values.get("char"), records[3].values.get("char")
-    if doubly is not None and doubly != (real_char and mftp_2 == 1):
+    mftp_2, doubly = records[1].values["char"], records[3].values["char"]
+    if doubly != (real_char and mftp_2 == 1):
         raise VerificationError("doubly real <=> real and MFTP fails")
     if T.group is not None:
         prof = combinatorial_profile(T)

@@ -18,7 +18,8 @@ from kronkit.orbits import (DEFAULT_ORBIT_CAP, double_cosets, frame_pair_count,
                             simultaneous_classes)
 from kronkit.zoo import FamilySpec
 
-from conftest import BATTERY, build, classified, diagonal_subgroup, rows, table
+from conftest import (BATTERY, build, c2_power_table, classified, diagonal_subgroup, rows,
+                      table)
 
 
 class report:
@@ -93,6 +94,30 @@ def test_identities_at_d3_past_the_battery(fam, q, count, real):
     conj, rconj = kron.conj_count(T, 3).values, kron.rconj_count(T, 3).values
     assert conj["burnside"] == conj["kappa_sq"] == count
     assert rconj["r_moment"] == rconj["sigma_weighted"] == real
+
+
+@pytest.mark.parametrize("fam,q", [("gl2", 7), ("psl2", 17)])
+def test_not_mftp_past_gl2_5(fam, q):
+    # the paper's claim past the battery, under the default caps: each
+    # decision from class sums, each witness from t3 or from d=3 slab 0,
+    # and the witness's kappa again as one classwise sum
+    T = table(fam, q)
+    cls = classified(T)
+    for d in (2, 3):
+        rec = cls[f"mftp_{d}"]
+        assert rec.values == {"char": 0} and not rec.notes, d
+        ok, wit = kron.is_mftp(T, d)
+        assert not ok and len(wit.irreps) == d + 1
+        assert rec.witness == f"kappa{wit.irreps}={wit.value}"
+        assert kron.kronecker(T, wit.irreps).value == wit.value >= 2
+    assert cls["mftp_2"].witness.endswith("=2")
+
+
+def test_mftp_of_an_import_past_the_kappa_cap():
+    T = load_table(c2_power_table(7))  # k = 128: the d = 3 sums are over the cap
+    assert kron.over_kappa_cap(T, 3, kron.DEFAULT_KAPPA_CAP)
+    rec = classified(T)["mftp_3"]
+    assert rec.values == {"char": 1} and rec.witness is None and not rec.notes
 
 
 def test_criterion_3_generalized_quaternion_series():

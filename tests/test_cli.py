@@ -166,14 +166,17 @@ def test_scan_records_per_entry_errors(capsys, tmp_path):
     doc = json.loads(out)
     assert any(e.startswith("BAD:") for e in doc["errors"])
     assert any(r["name"].startswith("C2/") for r in doc["records"])
-    # csv keeps the error and every skipped derivation, one row each, also
-    # for a record with no value left (mftp_2 under the kappa cap)
+    # csv keeps the error and every skipped derivation, one row each, next
+    # to the record's value rows; the kappa cap never skips a decision
     code, out = run(capsys, "scan", "--battery", str(mf), "--format", "csv",
                     "--orbit-cap", "3", "--kappa-cap", "1")
     assert code == 2
     rows = list(csv.reader(io.StringIO(out)))
-    assert ["C2", "conj_2", "orbit", "skipped: cap", "true"] in rows
-    assert ["C2", "mftp_2", "char", "skipped: cap", "true"] in rows
+    assert [row for row in rows if row[1] == "conj_2"] == [
+        ["C2", "conj_2", "burnside", "4", "true"],
+        ["C2", "conj_2", "kappa_sq", "skipped: cap", "true"],
+        ["C2", "conj_2", "orbit", "skipped: cap", "true"]]
+    assert ["C2", "mftp_2", "char", "1", "true"] in rows
     assert [row[:3] for row in rows if row[3].startswith("BAD:")] == [["", "error", ""]]
 
 
@@ -453,8 +456,10 @@ def test_reality_disagreement_is_a_fail_record(capsys, monkeypatch):
     real = kron.fs_indicators
 
     def unreal_first_irrep(T):
+        # sigma = 0 on irrep 0, and r = sum_V sigma(V) chi_V without chi_0
         fs = real(T)
-        return IndicatorData(sigma=(0,) + fs.sigma[1:], r=fs.r)
+        return IndicatorData(sigma=(0,) + fs.sigma[1:],
+                             r=tuple(r - chi for r, chi in zip(fs.r, T.coeffs[0, :, 0].tolist())))
 
     monkeypatch.setattr(kron, "fs_indicators", unreal_first_irrep)
     code, out = run(capsys, "classify", *S3)
@@ -536,16 +541,14 @@ def test_orbit_cap_edge(capsys, cap):
     pytest.param(("verify", *S3, "--kappa-cap", "1"), 0,
                  {"conj_2": {"kappa_sq": SKIP}, "rconj_2": {"sigma_weighted": SKIP}},
                  id="verify-S3"),
-    pytest.param(("classify", *S3, "--kappa-cap", "1"), 0,
-                 {"mftp_2": {"char": SKIP}, "mftp_3": {"char": SKIP},
-                  "doubly_real": {"char": SKIP}},
+    # every decision has a value: only a witness is skipped (S3 fails mftp_3)
+    pytest.param(("classify", *S3, "--kappa-cap", "1"), 0, {"mftp_3": {"witness": SKIP}},
                  id="classify-S3"),
     # the d=3 tensor of C2^7 would hold 2^28 int64 entries (2 GiB)
     pytest.param(("verify", "--table-file", "C2^7", "--d", "3"), 0,
                  {"conj_3": {"kappa_sq": SKIP}, "rconj_3": {"sigma_weighted": SKIP}},
                  id="verify-C2^7-d3"),
-    pytest.param(("classify", "--table-file", "C2^7"), 0, {"mftp_3": {"char": SKIP}},
-                 id="classify-C2^7"),
+    pytest.param(("classify", "--table-file", "C2^7"), 0, {}, id="classify-C2^7"),
     pytest.param(("kron", "--table-file", "C2^7", "--d", "3"), 1,
                  "error: kappa tensors exceed --kappa-cap 100000000", id="kron-C2^7-d3"),
     pytest.param(("kron", *S3, "--kappa-cap", "1"), 1,
@@ -567,6 +570,45 @@ def test_kappa_cap(capsys, tmp_path, argv, code, expected):
     records = json.loads(out)["records"]
     assert {r["name"]: r["notes"] for r in records if "notes" in r} == expected
     assert all(r["agree"] for r in records)
+
+
+# A4 (k = 4) fails MFTP and reality.  t3 prices k^4 / 2 = 128, and a chain
+# step or a d=3 slab k^4 = 256: the d = 2 and d = 3 sums, kron --d 2 and the
+# d = 3 witness in slab 0 each price 384
+A4 = ("--family", "alternating", "--params", "4")
+
+
+@pytest.mark.parametrize("cap", [384, 383])
+def test_kappa_cap_edge(capsys, monkeypatch, cap):
+    built = []
+    tensor = kron.kappa_tensor3
+    monkeypatch.setattr(kron, "kappa_tensor3", lambda T: built.append(T) or tensor(T))
+    notes, witnesses = {}, {}
+    for command in (("verify", "--d", "2", "3"), ("classify",)):
+        code, out = run(capsys, *command, *A4, "--kappa-cap", str(cap))
+        assert code == 0
+        for r in json.loads(out)["records"]:
+            assert r["agree"] and r["values"]  # every record keeps a value
+            if "notes" in r:
+                notes[r["name"]] = r["notes"]
+            witnesses[r["name"]] = r["witness"]
+    if cap == 384:
+        assert notes == {}
+    else:
+        assert notes == {"conj_2": {"kappa_sq": SKIP}, "rconj_2": {"sigma_weighted": SKIP},
+                         "conj_3": {"kappa_sq": SKIP}, "rconj_3": {"sigma_weighted": SKIP},
+                         "mftp_3": {"witness": SKIP}}
+    # the d = 2 witnesses need t3 alone
+    assert witnesses["mftp_2"] and witnesses["doubly_real"]
+    assert bool(witnesses["mftp_3"]) == (cap == 384)
+    built.clear()
+    code = main(["kron", *A4, "--kappa-cap", str(cap)])
+    out, err = capsys.readouterr()
+    if cap == 384:
+        assert code == 0 and built
+    else:  # refused before t3 or any slab
+        assert (code, out, built) == (1, "", [])
+        assert err == "error: kappa tensors exceed --kappa-cap 383\n"
 
 
 def test_kappa_cap_keeps_the_d1_sums(capsys):

@@ -100,10 +100,12 @@ def test_kappa4_exact_at_float_bound(above):
     assert sorted(T.conjugate_irrep(w) != w for w in range(k)) == [False, False, True, True]
     t = _plant(T, t3)
     if above:
-        calls = [(f, d) for f in (kron.conj_count, kron.rconj_count, kron.is_mftp) for d in (2, 3)]
+        calls = [(f, d) for f in (kron.conj_count, kron.rconj_count) for d in (2, 3)]
         for call, d in [*calls, (kron.kappa_slabs, 3)]:  # d = 2 slabs are t3 itself
             with pytest.raises(ValueError, match="too large"):
                 call(T, d)
+        # the decisions come from class sums of the table, with no tensor
+        assert kron.is_mftp(T, 2) == kron.is_mftp(T, 3) == (True, None)
         return
     t4 = _kappa4(T, t)
     s = fs_indicators(T).sigma
@@ -279,18 +281,19 @@ def test_conj_count_copies_no_tensor():
 
 
 def _slab_sweep(T, d):
-    """The full slab sweep, kept as the oracle of the transfer-chain sums and
-    of the decisions taken from them: (sum kappa^2, sum (prod sigma) kappa,
-    least tuple with kappa >= 2, least tuple that breaks d-reality), the
-    tuples as (irreps, kappa) or None."""
+    """The full slab sweep, kept as the oracle of the class sums and the
+    transfer-chain sums, and of the decisions taken from them: (sum kappa,
+    sum kappa^2, sum (prod sigma) kappa, least tuple with kappa >= 2, least
+    tuple that breaks d-reality), the tuples as (irreps, kappa) or None."""
     s = np.array(fs_indicators(T).sigma)
     rest = s
     for _ in range(d - 1):
         rest = np.multiply.outer(rest, s)
-    kappa_sq = sigma_weighted = 0
+    total = kappa_sq = sigma_weighted = 0
     first_big = first_unreal = None
     for a, slab in enumerate(kron.kappa_slabs(T, d)):
         assert slab.max() < 2**16  # so each slab's int64 sums are exact
+        total += int(slab.sum())
         kappa_sq += int((slab * slab).sum())
         sigma_weighted += int(s[a]) * int((slab * rest).sum())
         for irreps, value in np.ndenumerate(slab):
@@ -298,7 +301,7 @@ def _slab_sweep(T, d):
                 first_big = ((a, *irreps), int(value))
             if first_unreal is None and (value >= 2 or (value == 1 and s[a] * rest[irreps] != 1)):
                 first_unreal = ((a, *irreps), int(value))
-    return kappa_sq, sigma_weighted, first_big, first_unreal
+    return total, kappa_sq, sigma_weighted, first_big, first_unreal
 
 
 def _as_pair(result):
@@ -308,7 +311,7 @@ def _as_pair(result):
 
 
 def test_kappa_sums_equal_the_slab_sums():
-    # the sums and the decisions taken from them, against the full sweep
+    # the class sums, the chain sums and the decisions, against the full sweep
     P = direct_product(direct_product(build("symmetric", 3), build("symmetric", 3)),
                        build("symmetric", 4))
     tables = [table(fam, *params) for _, fam, params in BATTERY]
@@ -318,7 +321,8 @@ def test_kappa_sums_equal_the_slab_sums():
         for d in (1, 2, 3):
             if kron.over_kappa_cap(T, d, kron.DEFAULT_KAPPA_CAP):
                 continue
-            kappa_sq, sigma_weighted, first_big, first_unreal = _slab_sweep(T, d)
+            total, kappa_sq, sigma_weighted, first_big, first_unreal = _slab_sweep(T, d)
+            assert kron._psi_moment(T, d) == total
             assert kron.conj_count(T, d).values["kappa_sq"] == kappa_sq
             assert kron.rconj_count(T, d).values["sigma_weighted"] == sigma_weighted
             assert _as_pair(kron.is_d_real_char(T, d)) == first_unreal
@@ -330,12 +334,19 @@ def test_kappa_sums_equal_the_slab_sums():
 
 def test_failing_sum_without_witness_is_a_bug_trap(monkeypatch):
     T = _fresh_table("symmetric", 3)  # MFTP and doubly real: no slab holds a witness
-    monkeypatch.setattr(kron, "_kappa_sums", lambda T, d: (10, 11, 11))
+    assert (kron._burnside(T, 2), kron._psi_moment(T, 2), kron._r_moment(T, 2)) == (11, 11, 11)
+    monkeypatch.setattr(kron, "_psi_moment", lambda T, d: 10)
     with pytest.raises(VerificationError, match="no kappa slab"):
         kron.is_mftp(T, 2)
-    monkeypatch.setattr(kron, "_kappa_sums", lambda T, d: (11, 11, 10))
+    monkeypatch.setattr(kron, "_r_moment", lambda T, d: 10)
     with pytest.raises(VerificationError, match="no kappa slab"):
         kron.is_d_real_char(T, 2)
+    # a witness search cut by the cap is a skipped witness, not a trap
+    assert kron.is_mftp(T, 2, kappa_cap=0) == (False, None)
+    monkeypatch.undo()
+    T.coeffs[1, 1, 1] += 1  # psi, the sum of the irreducible characters, is now irrational
+    with pytest.raises(VerificationError, match="not rational"):
+        kron.is_mftp(T, 2)
 
 
 def test_sign_law_violations_lists_each_triple():
