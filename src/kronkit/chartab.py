@@ -5,12 +5,13 @@ over F_p, with p = 1 (mod exponent) and p > 2*sqrt(|G|), in int64 arithmetic
 mod p (``_dixon_prime`` holds the range argument).  The split starts from the
 whole space.  A_j is built only when the split reaches it, and is restricted
 to each subspace at the subspace's pivot columns.  One Gaussian elimination
-of every shifted restriction M - lambda I at once (``_echelon`` on a stack,
-in blocks) finds the eigenvalues, and the echelon forms at those lambda give
-the eigenspaces.  The common eigenvectors give every character mod p; one
-DFT matrix product mod p per element order turns these, for all irreps at
-once, into eigenvalue multiplicities of rho(g) and so into the exact
-power-basis coefficients of every value at the exponent e.  A table keeps
+of every shifted restriction M - lambda I of every subspace of one dimension
+at once (``_echelon`` on a stack, in blocks) finds the eigenvalues, and the
+echelon forms at those lambda give the eigenspaces.  The common eigenvectors
+give every character mod p; one DFT matrix product mod p per element order
+turns these, for all irreps at once, into eigenvalue multiplicities of
+rho(g) and so into the exact power-basis coefficients of every value at the
+exponent e.  A table keeps
 them as one int64 array [irrep, class, phi(e)], ``CharacterTable.coeffs``,
 from the lift to the output.  Both orthogonality relations are verified
 exactly before a built table is returned, as float64 matrix products at one
@@ -189,22 +190,28 @@ def _echelon(a, p: int):
     return a.reshape(shape), pivot.reshape(shape[:-2] + (c,))
 
 
-def _eigenvalues(M, p: int):
-    """(lambda, R, pivot) for every lambda in F_p, ascending, at which
-    M - lambda I is singular: R is its reduced echelon form, and pivot the
-    mask of R's pivot columns.
+# entries of one stacked elimination in ``_eigenvalues``
+_EIGEN_BLOCK = 2**22
 
-    One elimination runs on every shifted matrix at once, in blocks of about
-    2^22 entries.
+
+def _eigenvalues(Ms, p: int):
+    """For each matrix M of the stack Ms (all m x m), the list of (lambda, R,
+    pivot) for every lambda in F_p, ascending, at which M - lambda I is
+    singular: R is its reduced echelon form, and pivot the mask of R's pivot
+    columns.
+
+    One elimination runs on every shifted matrix of every M at once, in
+    blocks of about ``_EIGEN_BLOCK`` entries that take the pairs (M, lambda)
+    in order.
     """
-    m = len(M)
-    step = max(1, 2**22 // (m * m))
-    found = []
-    for start in range(0, p, step):
-        lam = np.arange(start, min(start + step, p))
-        R, pivot = _echelon(M - lam[:, None, None] * np.eye(m, dtype=np.int64), p)
-        singular = pivot.sum(axis=1) < m
-        found += zip(lam[singular].tolist(), R[singular], pivot[singular])
+    count, m = len(Ms), Ms.shape[-1]
+    step = max(1, _EIGEN_BLOCK // (m * m))
+    found = [[] for _ in range(count)]
+    for start in range(0, count * p, step):
+        which, lam = np.divmod(np.arange(start, min(start + step, count * p)), p)
+        R, pivot = _echelon(Ms[which] - lam[:, None, None] * np.eye(m, dtype=np.int64), p)
+        for i in np.flatnonzero(pivot.sum(axis=1) < m).tolist():
+            found[which[i]].append((int(lam[i]), R[i], pivot[i]))
     return found
 
 
@@ -241,17 +248,23 @@ def _split_eigenvectors(G: GroupTable, cd: ConjugacyData, p: int) -> np.ndarray:
         products = G.table[np.ix_(inv[class_of == j], cd.reps)]  # x^-1 rep_l
         A = np.bincount((class_of[products] * k + cols).ravel(),
                         minlength=k * k).reshape(k, k) % p
-        split = []
-        for E, P in spaces:
+        # the restrictions with more than one eigenvalue, by dimension: each
+        # dimension's subspaces split in one stacked eigenvalue search
+        by_dim: dict[int, list] = {}
+        for i, (E, P) in enumerate(spaces):
             M = A[P] @ E.T % p if len(E) > 1 else None
-            if M is None or (M == M[0, 0] * np.eye(len(E), dtype=np.int64)).all():
-                split.append((E, P))  # one eigenvalue: E does not split
-                continue
-            found = [_eigenspace(R, pivot, p) for _, R, pivot in _eigenvalues(M, p)]
-            if sum(len(N) for N, _ in found) != len(E):
-                raise VerificationError("class matrix did not split over F_p")
-            split += [(N @ E % p, P[F]) for N, F in found]
-        spaces = split
+            if M is not None and (M != M[0, 0] * np.eye(len(E), dtype=np.int64)).any():
+                by_dim.setdefault(len(E), []).append((i, M))
+        pieces = {}
+        for m, restricted in by_dim.items():
+            eigen = _eigenvalues(np.array([M for _, M in restricted]), p)
+            for (i, _), found in zip(restricted, eigen):
+                found = [_eigenspace(R, pivot, p) for _, R, pivot in found]
+                if sum(len(N) for N, _ in found) != m:
+                    raise VerificationError("class matrix did not split over F_p")
+                E, P = spaces[i]
+                pieces[i] = [(N @ E % p, P[F]) for N, F in found]
+        spaces = [piece for i, space in enumerate(spaces) for piece in pieces.get(i, [space])]
     if any(len(E) != 1 for E, _ in spaces):
         raise VerificationError("eigenspace splitting incomplete")
     W = np.concatenate([E for E, _ in spaces])

@@ -23,10 +23,12 @@ import numpy as np
 from . import _kernels
 
 # What one Cayley table may cost.  A group of order n is an n x n table of
-# int32 entries (4 bytes).  Building it peaks higher: measured in a fresh
-# process (ru_maxrss), S7 takes 12.8 bytes per entry, a direct product 8, and
-# a semidirect product or a Heisenberg group 16, the most; conjugacy classes
-# and the exponent add nothing measurable.  So a group is admitted while
+# int32 entries (4 bytes).  Building it peaks higher: measured as the growth
+# of ru_maxrss over the build in a fresh process, S7 takes 4.1 bytes per
+# entry, A7 4.2, a direct product (``abelian 72 80``) 4.0, a semidirect
+# product (``generalized_dihedral 2896``) 11.5 and a Heisenberg group
+# (``heisenberg 1 17``) 16.0, the most; conjugacy classes and the exponent
+# add nothing measurable.  So a group is admitted while
 # n^2 * TABLE_BYTES_PER_ENTRY fits TABLE_BUDGET_BYTES: n <= 5792, which
 # admits S7 (5040) and refuses 2^13.  The cap bounds the largest table a
 # construction holds: ``zoo`` checks it before building, also where the
@@ -178,58 +180,71 @@ class SubgroupSpec:
 
 # -- construction ------------------------------------------------------------
 
-def _perm_mul(p, q):
-    """(p*q)(x) = p(q(x))."""
-    return tuple(p[i] for i in q)
-
-
 def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
                           labels_from_perms: bool = False) -> GroupTable:
     """Closure of permutation generators, breadth-first from the identity.
 
     Element k is the k-th permutation the search reaches, taking elements in
     index order and, for each, the generators in the order given.  The search
+    runs a BFS level at a time: one gather composes the whole frontier with
+    every generator, and a dict on the products' bytes numbers them.  It
     records right[j][x], the index of x * g_j, and for each new element b its
-    parent and generator: b = parent(b) * g_via(b).  The table is then filled
-    column by column, a BFS level at a time, from a * b = (a * parent(b)) *
-    g_via(b): column b is right[via(b)] gathered at column parent(b).  The
-    columns of a level are written in place into the row-major table.
+    parent and generator: b = parent(b) * g_via(b).  Then left[j][b], the
+    index of g_j * b, follows a level at a time from g_j * b = (g_j *
+    parent(b)) * g_via(b).  The table is filled row by row in index order,
+    from a * b = parent(a) * (g_via(a) * b): row a is row parent(a), filled
+    earlier, gathered at left[via(a)], one contiguous gather per row.
     """
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens]
     for g in gens:
         if sorted(g) != list(ident):
             raise GroupError("generator is not a permutation")
-    elems = [ident]
-    index = {ident: 0}
-    right: list[list[int]] = [[] for _ in gens]
-    parent, via = [0], [0]
+    if not degree:
+        gens = []  # the identity is the one permutation of nothing
+    m = len(gens)
+    perm = np.min_scalar_type(max(degree - 1, 0))
+    key = np.dtype((np.void, degree * perm.itemsize))  # a permutation's bytes
+    g = np.array(gens, dtype=np.intp).reshape(m, degree)
+    frontier = np.arange(degree, dtype=perm)[None]
+    perms = [frontier]
+    index = {frontier.tobytes(): 0}
+    setdefault = index.setdefault
+    right, parent, via = [], [0], [0]
     level_ends = [1]  # BFS level i holds the elements below level_ends[i]
-    head = 0
-    while head < len(elems):
-        end = len(elems)
-        for x in range(head, end):
-            for j, g in enumerate(gens):
-                y = _perm_mul(elems[x], g)
-                k = index.get(y)
-                if k is None:
-                    if len(elems) >= order_cap:
-                        raise GroupError("group too large")
-                    k = index[y] = len(elems)
-                    elems.append(y)
-                    parent.append(x)
-                    via.append(j)
-                right[j].append(k)
-        head = end
-        level_ends.append(len(elems))
-    n = len(elems)
-    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
-    parent, via = np.array(parent), np.array(via)
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n)
+    lo = 0  # the frontier holds the elements lo, lo + 1, ...
+    while len(frontier):
+        hi = len(index)
+        products = frontier[:, g].reshape(len(frontier) * m, degree)  # row x m + j: x * g_j
+        found = [setdefault(y, len(index)) for y in products.view(key).ravel().tolist()]
+        if len(index) > order_cap:
+            raise GroupError("group too large")
+        right += found
+        # first[k] is the first row whose product is element k
+        first = dict(zip(reversed(found), range(len(found) - 1, -1, -1)))
+        new = [first[k] for k in range(hi, len(index))]
+        parent += [lo + r // m for r in new]
+        via += [r % m for r in new]
+        frontier = products[new]
+        perms.append(frontier)
+        level_ends.append(len(index))
+        lo = hi
+    n = len(index)
+    right = np.array(right, dtype=np.intp).reshape(n, m).T
+    left = np.empty((m, n), dtype=np.intp)
+    left[:, 0] = right[:, 0]
+    parents, vias = np.array(parent), np.array(via)
     for lo, hi in zip(level_ends, level_ends[1:]):
-        table[:, lo:hi] = right[via[lo:hi], table[:, parent[lo:hi]]]
-    labels = [str(p) for p in elems] if labels_from_perms else None
+        left[:, lo:hi] = right[vias[lo:hi], left[:, parents[lo:hi]]]
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    rows, left = list(table), list(left)
+    for row, p, j in zip(rows[1:], parent[1:], via[1:]):
+        # every index is in range; "clip" spares ``take`` its copy of ``out``
+        rows[p].take(left[j], None, row, "clip")
+    labels = None
+    if labels_from_perms:
+        labels = [str(p) for p in map(tuple, np.concatenate(perms).tolist())]
     return GroupTable(table, labels=labels)
 
 

@@ -38,12 +38,12 @@ from . import modular
 from .chartab import CharacterTable, SubgroupSpec, VerificationError, dim_fixed_space, fs_indicators
 
 # Work bound for the kappa tensors, in multiply-adds (see ``kappa_price``).
-# Under it a d = 2 witness builds t3 for k <= 118, the d = 2 and d = 3 sums
-# and slab 0 of a d = 3 witness search run for k <= 90, and the d = 4 and
-# d = 5 sums for k <= 79.  Only t3 and a few arrays of its size are held:
-# ``verify --d 2 3`` and ``classify`` (a d = 2 witness) each peaked 13 MiB
-# above the interpreter's ru_maxrss on an imported C3^4 table (k = 81, 531K
-# d=2 entries).
+# Under it the d = 2 sums and a d = 2 witness build t3 for k <= 118, the
+# d = 3 sums and slab 0 of a d = 3 witness search run for k <= 90, and the
+# d = 4 and d = 5 sums for k <= 79.  Only t3 and a few arrays of its size
+# are held: ``verify --d 2 3`` and ``classify`` (a d = 2 witness) each
+# peaked 13 MiB above the interpreter's ru_maxrss on an imported C3^4 table
+# (k = 81, 531K d=2 entries).
 DEFAULT_KAPPA_CAP = 10**8
 SKIPPED = "skipped: cap"
 
@@ -172,7 +172,9 @@ def _pair(x: np.ndarray, y: np.ndarray) -> int:  # sum x * y, in Python ints
 # of Phi is P Phi(P . P) P.  So each sum pairs the chain's step a = floor(d/2),
 # permuted by P, with its step b = d - 1 - a: one chain of a steps in
 # float64, and the pairing in Python ints, which may pass 2^63.  At d = 1
-# the chain is empty and builds no tensor.
+# the chain is empty and builds no tensor.  At d = 2 the pairing needs only
+# trace Phi(I) = sum t3^2 and sigma^T S sigma, k^3 work each, so Phi(I), a
+# k^4 product, is built only for d >= 3.
 #
 # Exactness.  Phi^j(I) is a sum of M^T M over the products M of j transfer
 # matrices: positive semidefinite with non-negative entries, so its largest
@@ -183,13 +185,28 @@ def _pair(x: np.ndarray, y: np.ndarray) -> int:  # sum x * y, in Python ints
 # partial sum of (S^j sigma)[w] is at most (J^j 1)[w] in size.  J^T = P J P,
 # so that is the column sum at w' of J^j = sum M, and as M <= M^2 entrywise
 # (non-negative integers) it is at most Phi^j(I)[w', w'], which is certified.
+#
+# At d = 2, Phi(I)[w', w'] is the sum of squares of the slab t3[w] (t3 is
+# symmetric in its slots), and the trace is their sum.  The k slab sums are
+# ``_certified``, and as above they bound S sigma: every partial sum of
+# (S sigma)[u] = sum_{v, w} t3[u, v, w] sigma(v) sigma(w), the inner sums over
+# w included, is at most sum_{v, w} t3[u, v, w] <= sum_{v, w} t3[u, v, w]^2
+# in size.
 def _kappa_sums(T: CharacterTable, d: int) -> tuple[int, int]:
     """(sum kappa^2, sum (prod sigma) kappa) over all (d+1)-tuples of
     irreps, as exact Python ints, cached on the table."""
     sums = T._cache.get(("kappa_sums", d))
     if sums is not None:
         return sums
-    k, perm = T.num_classes, _conjugation(T)
+    k = T.num_classes
+    if d == 2:
+        t3, sigma = kappa_tensor3(T).astype(np.float64), _sigma_vector(T)
+        squares = _certified(np.einsum("uvw,uvw->w", t3, t3))
+        s_sigma = (t3.reshape(k * k, k) @ sigma).reshape(k, k) @ sigma
+        sums = T._cache[("kappa_sums", d)] = (
+            sum(squares.astype(np.int64).tolist()), _pair(sigma, s_sigma))
+        return sums
+    perm = _conjugation(T)
     # chain[j] = [Phi^j(I), S^j sigma], cached for every d
     chain = T._cache.setdefault("transfer", [[np.eye(k), _sigma_vector(T).astype(np.float64)]])
     if len(chain) <= d // 2:
@@ -247,9 +264,10 @@ def kappa_price(T: CharacterTable, steps: int = 0, slabs: int = 0) -> int:
 
 
 def over_kappa_cap(T: CharacterTable, d: int, cap: int, slabs: int = 0) -> bool:
-    """True when the d-tuple sums, t3 and floor(d/2) chain steps, and then
-    ``slabs`` d=3 slabs would price above ``cap``.  d = 1 builds no tensor."""
-    return d > 1 and kappa_price(T, d // 2, slabs) > cap
+    """True when the d-tuple sums, t3 and the chain steps they run (none at
+    d = 2, floor(d/2) from d = 3), and then ``slabs`` d=3 slabs would price
+    above ``cap``.  d = 1 builds no tensor."""
+    return d > 1 and kappa_price(T, d // 2 if d > 2 else 0, slabs) > cap
 
 
 # -- counting records ----------------------------------------------------------

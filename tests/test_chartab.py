@@ -2,6 +2,7 @@ import itertools
 import re
 from importlib import resources
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,35 +66,44 @@ def test_golden_tables_do_not_depend_on_the_root_of_unity(name, monkeypatch):
 
 @st.composite
 def _matrices_mod_p(draw):
+    """A stack of one to three m x m matrices over F_p, and p."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     m = draw(st.integers(1, 4))
-    entries = draw(st.lists(st.integers(0, p - 1), min_size=m * m, max_size=m * m))
-    return np.array(entries, dtype=np.int64).reshape(m, m), p
+    count = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=count * m * m, max_size=count * m * m))
+    return np.array(entries, dtype=np.int64).reshape(count, m, m), p
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_matrices_mod_p())
-@example((np.array([[1, 1], [0, 1]]), 5))                  # a Jordan block
-@example((np.array([[2, 1, 0], [0, 2, 1], [0, 0, 2]]), 3))
-@example((np.array([[0, 1], [0, 0]]), 2))
-@example((np.array([[0, 12], [1, 0]]), 13))                # x^2 + 1 splits mod 13
-@example((np.array([[0, 2], [1, 0]]), 3))                  # x^2 + 1 has no root mod 3
-def test_eigenvalues_match_brute_force(case):
+@given(_matrices_mod_p(), st.sampled_from([1, 3, 2**22]))
+@example((np.array([[[1, 1], [0, 1]]]), 5), 2**22)                  # a Jordan block
+@example((np.array([[[2, 1, 0], [0, 2, 1], [0, 0, 2]]]), 3), 2**22)
+@example((np.array([[[0, 1], [0, 0]]]), 2), 2**22)
+@example((np.array([[[0, 12], [1, 0]]]), 13), 2**22)                # x^2 + 1 splits mod 13
+@example((np.array([[[0, 2], [1, 0]]]), 3), 2**22)                  # x^2 + 1 has no root mod 3
+@example((np.array([[[0, 12], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [0, 0]]]), 13), 3)
+def test_eigenvalues_match_brute_force(case, matrices_per_block):
     # lambda is an eigenvalue iff some nonzero v in F_p^m has (M - lambda I) v = 0;
-    # the kernel vectors, counted by enumeration, number p^dim
-    M, p = case
-    m = len(M)
+    # the kernel vectors, counted by enumeration, number p^dim.  Small blocks
+    # cut the stacked search inside one matrix's shifts and across matrices
+    Ms, p = case
+    m = Ms.shape[-1]
+    with mock.patch.object(chartab, "_EIGEN_BLOCK", matrices_per_block * m * m):
+        stacked = _eigenvalues(Ms, p)
+    assert len(stacked) == len(Ms)
     vectors = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64).T
-    found = {lam: _eigenspace(R, pivot, p)[0] for lam, R, pivot in _eigenvalues(M, p)}
-    kernels = {}
-    for lam in range(p):
-        count = int(((M - lam * np.eye(m, dtype=np.int64)) @ vectors % p == 0).all(axis=0).sum())
-        if count > 1:
-            kernels[lam] = count
-    assert sorted(found) == sorted(kernels)
-    for lam, N in found.items():
-        assert p ** len(N) == kernels[lam]
-        assert not ((M - lam * np.eye(m, dtype=np.int64)) @ N.T % p).any()
+    for M, eigen in zip(Ms, stacked):
+        found = {lam: _eigenspace(R, pivot, p)[0] for lam, R, pivot in eigen}
+        assert [lam for lam, _, _ in eigen] == sorted(found)
+        kernels = {}
+        for lam in range(p):
+            count = int(((M - lam * np.eye(m, dtype=np.int64)) @ vectors % p == 0).all(axis=0).sum())
+            if count > 1:
+                kernels[lam] = count
+        assert sorted(found) == sorted(kernels)
+        for lam, N in found.items():
+            assert p ** len(N) == kernels[lam]
+            assert not ((M - lam * np.eye(m, dtype=np.int64)) @ N.T % p).any()
 
 
 def test_dixon_prime_int64_edge():

@@ -573,13 +573,19 @@ def test_kappa_cap(capsys, tmp_path, argv, code, expected):
 
 
 # A4 (k = 4) fails MFTP and reality.  t3 prices k^4 / 2 = 128, and a chain
-# step or a d=3 slab k^4 = 256: the d = 2 and d = 3 sums, kron --d 2 and the
-# d = 3 witness in slab 0 each price 384
+# step or a d=3 slab k^4 = 256: the d = 2 sums, the d = 2 witnesses and
+# kron --d 2 each price 128 (t3 alone), and the d = 3 sums and the d = 3
+# witness in slab 0 each price 384
 A4 = ("--family", "alternating", "--params", "4")
+_D2 = {"conj_2": {"kappa_sq": SKIP}, "rconj_2": {"sigma_weighted": SKIP},
+       "mftp_2": {"witness": SKIP}, "doubly_real": {"witness": SKIP}}
+_D3 = {"conj_3": {"kappa_sq": SKIP}, "rconj_3": {"sigma_weighted": SKIP},
+       "mftp_3": {"witness": SKIP}}
 
 
-@pytest.mark.parametrize("cap", [384, 383])
+@pytest.mark.parametrize("cap", [384, 383, 128, 127])
 def test_kappa_cap_edge(capsys, monkeypatch, cap):
+    skipped = {} if cap == 384 else _D3 if cap >= 128 else {**_D2, **_D3}
     built = []
     tensor = kron.kappa_tensor3
     monkeypatch.setattr(kron, "kappa_tensor3", lambda T: built.append(T) or tensor(T))
@@ -592,23 +598,17 @@ def test_kappa_cap_edge(capsys, monkeypatch, cap):
             if "notes" in r:
                 notes[r["name"]] = r["notes"]
             witnesses[r["name"]] = r["witness"]
-    if cap == 384:
-        assert notes == {}
-    else:
-        assert notes == {"conj_2": {"kappa_sq": SKIP}, "rconj_2": {"sigma_weighted": SKIP},
-                         "conj_3": {"kappa_sq": SKIP}, "rconj_3": {"sigma_weighted": SKIP},
-                         "mftp_3": {"witness": SKIP}}
-    # the d = 2 witnesses need t3 alone
-    assert witnesses["mftp_2"] and witnesses["doubly_real"]
-    assert bool(witnesses["mftp_3"]) == (cap == 384)
+    assert notes == skipped
+    for name in ("mftp_2", "doubly_real", "mftp_3"):
+        assert bool(witnesses[name]) == (name not in skipped)
     built.clear()
     code = main(["kron", *A4, "--kappa-cap", str(cap)])
     out, err = capsys.readouterr()
-    if cap == 384:
+    if cap >= 128:
         assert code == 0 and built
-    else:  # refused before t3 or any slab
+    else:  # refused before t3
         assert (code, out, built) == (1, "", [])
-        assert err == "error: kappa tensors exceed --kappa-cap 383\n"
+        assert err == "error: kappa tensors exceed --kappa-cap 127\n"
 
 
 def test_kappa_cap_keeps_the_d1_sums(capsys):

@@ -1,15 +1,21 @@
+import hashlib
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronkit.cli import _battery_entries
+import kronkit
+from kronkit.cli import _battery_entries, main
 from kronkit.groupcore import (
     DEFAULT_ORDER_CAP,
     TABLE_BUDGET_BYTES,
@@ -364,6 +370,69 @@ def test_group_from_generators_matches_reference(case):
     assert rows(G) == mul and G.labels == labels
     assert G.inv == ref_inverses(mul)
     assert G.generating_set() == ref_generating_set(mul)
+
+
+def _symmetric_gens(n):
+    return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+
+
+@pytest.mark.parametrize("degree,order", [(3, 6), (4, 24), (5, 120)])
+def test_order_cap_edge(degree, order):
+    assert group_from_generators(degree, _symmetric_gens(degree), order_cap=order).order == order
+    with pytest.raises(GroupError, match="too large"):
+        group_from_generators(degree, _symmetric_gens(degree), order_cap=order - 1)
+
+
+@pytest.mark.parametrize("degree,gens", [
+    (4, [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0), (0, 1, 2, 3)]),
+    (4, [(1, 2, 3, 0), (1, 2, 3, 0)]),
+    (4, [(0, 1, 2, 3)]),
+    (4, []),
+    (1, []),
+    (0, [()]),
+    (0, []),
+], ids=["identity-and-repeats", "repeated", "identity-only", "none", "degree-1", "degree-0",
+        "degree-0-none"])
+def test_identity_repeated_and_missing_generators(degree, gens):
+    G = group_from_generators(degree, gens, labels_from_perms=True)
+    mul, labels = ref_group_from_generators(degree, gens)
+    assert rows(G) == mul and G.labels == labels
+
+
+@pytest.mark.parametrize("fam", ["symmetric", "alternating"])
+def test_degree_7_tables_compose_their_labels(fam):
+    # the reference test above stops at degree 6: sample entries of S7 and A7
+    G = build(fam, 7)
+    perms = [tuple(map(int, re.findall(r"\d+", lab))) for lab in G.labels]
+    index = {p: i for i, p in enumerate(perms)}
+    assert len(index) == G.order == (5040 if fam == "symmetric" else 2520)
+    rng = np.random.default_rng(7)
+    for a, b in rng.integers(G.order, size=(5000, 2)).tolist():
+        assert G.table[a, b] == index[_perm_mul(perms[a], perms[b])]
+
+
+@pytest.mark.parametrize("fam", ["symmetric", "alternating"])
+def test_degree_7_build_dumps_match_the_recorded_bytes(tmp_path, fam):
+    out = tmp_path / "g.grp"
+    assert main(["build", "--family", fam, "--params", "7", "--out", str(out)]) == 0
+    digests = {name: digest for digest, name in map(
+        str.split, (Path(__file__).parent / "reports" / "build.sha256").read_text().splitlines())}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"build-{fam}-7.grp"]
+
+
+def test_s7_build_peak_fits_the_table_budget():
+    # the growth of ru_maxrss (KiB on Linux) over the build, in a fresh process
+    script = ("import resource\n"
+              "from kronkit.zoo import symmetric\n"
+              "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "before = peak()\n"
+              "G = symmetric(7)\n"
+              "print(G.order, (peak() - before) * 1024)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(kronkit.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    n, grown = map(int, run.stdout.split())
+    assert n == 5040 and grown <= TABLE_BYTES_PER_ENTRY * n * n
 
 
 @pytest.mark.parametrize("left,right", [

@@ -332,6 +332,16 @@ def test_kappa_sums_equal_the_slab_sums():
     assert decided == 3 * len(tables)
 
 
+def test_d2_sums_price_t3_alone():
+    # k = 112: t3 prices k^4 / 2 < 10^8, and the d = 3 sums add a chain step
+    T = table("abelian", 2, 2, 2, 2, 7)
+    assert T.num_classes == 112
+    assert not kron.over_kappa_cap(T, 2, kron.DEFAULT_KAPPA_CAP)
+    assert kron.over_kappa_cap(T, 3, kron.DEFAULT_KAPPA_CAP)
+    assert kron.conj_count(T, 2).values == {"burnside": 12544, "kappa_sq": 12544}
+    assert kron.rconj_count(T, 2).values == {"r_moment": 256, "sigma_weighted": 256}
+
+
 def test_failing_sum_without_witness_is_a_bug_trap(monkeypatch):
     T = _fresh_table("symmetric", 3)  # MFTP and doubly real: no slab holds a witness
     assert (kron._burnside(T, 2), kron._psi_moment(T, 2), kron._r_moment(T, 2)) == (11, 11, 11)
