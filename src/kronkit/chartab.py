@@ -11,15 +11,14 @@ echelon forms at those lambda give the eigenspaces.  The common eigenvectors
 give every character mod p; one DFT matrix product mod p per element order
 turns these, for all irreps at once, into eigenvalue multiplicities of
 rho(g) and so into the exact power-basis coefficients of every value at the
-exponent e.  A table keeps
-them as one int64 array [irrep, class, phi(e)], ``CharacterTable.coeffs``,
-from the lift to the output.  Both orthogonality relations are verified
-exactly before a built table is returned, as float64 matrix products at one
-embedding of Z[zeta_e] into F_p per prime (see ``modular``, which reads that
-array as it is and certifies the table Galois-stable first); the same
-engine finds the duals, the Frobenius-Schur indicators, square-root counts
-and fixed-space dimensions, and checks an imported table's Galois
-stability, row orthogonality, indicators and closure under duality.
+exponent e.  A table keeps them as one int64 array [irrep, class,
+phi(e)], ``CharacterTable.coeffs``, from the lift to the output.  One exact
+class sum, the d = 1 Kronecker matrix, checks both orthogonality relations
+of every table and gives its duals (``_duals``), with the inverse classes
+of the group or, for an import, the certified complex conjugation.  Class
+sums run as float64 matrix products at one embedding of Z[zeta_e] into F_p
+per prime (``modular``, which certifies the table Galois-stable first);
+they also give the indicators, square-root counts and fixed spaces.
 The exchange format writes every value at the exponent e: ``load_table``
 reads each distinct value string once, straight into its integer row at e
 (``cyclo.parse_value``).
@@ -100,24 +99,15 @@ class CharacterTable:
         return self.irreps[irrep].values[cls]
 
     def conjugate_irrep(self, irrep: int) -> int:
-        """Index of the contragredient irrep (entrywise complex conjugate).
-
-        Read off the d = 1 Kronecker matrix Q[i, j] = sum_c |C_c| chi_i(c)
-        chi_j(c) = n kappa(V_i, V_j), the row gram with the identity for the
-        inverse classes.  Rows that pass row orthogonality (both constructors
-        check it first) are an orthonormal basis of the class functions, so
-        conj chi_j = sum_i (Q[i, j] / n) chi_i: Q is n times a permutation
-        matrix exactly when the rows are closed under conjugation, and the
-        permutation is the answer.  Otherwise ``VerificationError``.
-        """
-        perm = self._cache.get("conj_irrep")
+        """Index of the contragredient irrep (entrywise complex conjugate),
+        found by ``_duals`` as a constructor checks the table; a table made
+        directly finds it with ``modular.TableImages.conj``, or raises
+        ``VerificationError``."""
+        perm = self._cache.get("duals")
         if perm is None:
-            n, k = self.order, self.num_classes
-            Q = _row_gram(self, tuple(range(k)))
-            perm = [] if Q is None else (Q == n).argmax(axis=1).tolist()
-            if Q is None or (Q != n * np.eye(k, dtype=np.int64)[perm]).any():
+            perm = _duals(self, modular.images(self).conj)
+            if perm is None:
                 raise VerificationError("contragredient character missing")
-            perm = self._cache["conj_irrep"] = tuple(perm)
         return perm[irrep]
 
 
@@ -306,42 +296,45 @@ def _lift(chi, degrees, G: GroupTable, cd: ConjugacyData, p: int, z: int, e: int
     return coeffs
 
 
-def _row_gram(T: CharacterTable, inverse_class=None):
-    """sum_c |C_c| chi_i(c) chi_j(c^-1) for all i, j, exactly (None if not rational).
-
-    Without ``inverse_class`` (an imported table), chi_j(c^-1) is taken as the
-    complex conjugate of chi_j(c), which is chi_j at the class
-    ``modular.TableImages.conj`` certifies for c.
-    """
+def _kronecker_matrix(T: CharacterTable):
+    """Q[i, j] = sum_c |C_c| chi_i(c) chi_j(c) = n kappa(V_i, V_j) exactly, or
+    None: reindexing the classes by any pi_a fixes it (``modular``)."""
     img = modular.images(T)
-    if inverse_class is None:
-        inverse_class = img.conj
-    if not img.commutes(inverse_class):
-        return None
     m = img.class_l1
-    bound = img.r * sum(s * m[c] * m[inverse_class[c]] for c, s in enumerate(T.sizes))
-    return img.exact(bound, lambda p, V: modular.dot(
-        V * modular.residues(T.sizes, p) % p, V[:, inverse_class].T, p))
+    return img.exact(img.r * sum(s * m[c] ** 2 for c, s in enumerate(T.sizes)),
+                     lambda p, V: modular.dot(V * modular.residues(T.sizes, p) % p, V.T, p))
 
 
-def _column_gram(T: CharacterTable, inverse_class):
-    """sum_i chi_i(c) chi_i(c2^-1) for all c, c2, exactly (None if not rational)."""
-    img = modular.images(T)
-    if not img.commutes(inverse_class):
+def _duals(T: CharacterTable, inverse_class):
+    """The dual P(i) of each irrep, cached on T, when the rows are orthonormal
+    and closed under the class map ``inverse_class``; else None.
+
+    Q (``_kronecker_matrix``) must be n P for a permutation matrix P (Q is
+    symmetric, so one entry n per row makes P a permutation), and
+    chi_i(inverse_class[c]) = chi_P(i)(c) must hold coefficient by
+    coefficient, an int64 comparison.
+
+    Row orthogonality follows: sum_c |C_c| chi_i(c) chi_j(inverse_class[c])
+    = sum_c |C_c| chi_i(c) chi_P(j)(c) = Q[i, P(j)] = (Q P^T)[i, j] = n [i = j].
+    So does the column relation, as the table is square (Isaacs, *Character
+    Theory of Finite Groups*, ch. 2).  With X the k x k table, D = diag |C_c|
+    and J the permutation matrix with (X J)[i, c] = X[i, iota(c)], iota =
+    ``inverse_class``, row orthogonality reads X D J^T X^T = n I.  So X is
+    invertible with X^-1 = D J^T X^T / n, and X^-1 X = I gives X^T X = n J
+    D^-1.  As iota is an involution that keeps class sizes (the group's
+    inversion, or the certified pi_(-1) of an import), that is sum_i chi_i(c)
+    chi_i(iota c') = [c = c'] n / |C_c|.
+    """
+    Q = _kronecker_matrix(T)
+    if Q is None:
         return None
-    bound = img.r * sum(m * m for m in img.irrep_l1)
-    return img.exact(bound, lambda p, V: modular.dot(V.T, V[:, inverse_class], p),
-                     class_axes=2)
-
-
-def _verify_orthogonality(T: CharacterTable, inverse_class):
-    n = T.order
-    row = _row_gram(T, inverse_class)
-    if row is None or (row != np.diag([n] * T.num_classes)).any():
-        raise VerificationError("verification failed: row orthogonality")
-    col = _column_gram(T, inverse_class)
-    if col is None or (col != np.diag([n // s for s in T.sizes])).any():
-        raise VerificationError("verification failed: column orthogonality")
+    perm = (Q == T.order).argmax(axis=1)
+    P = np.eye(T.num_classes, dtype=bool)[perm]  # n may pass int64: Q is compared in place
+    if (Q[P] != T.order).any() or Q[~P].any() or (
+            T.coeffs[:, list(inverse_class)] != T.coeffs[perm]).any():
+        return None
+    perm = T._cache["duals"] = tuple(perm.tolist())
+    return perm
 
 
 def character_table(G: GroupTable) -> CharacterTable:
@@ -377,7 +370,8 @@ def character_table(G: GroupTable) -> CharacterTable:
         group=G,
         classes=cd,
     )
-    _verify_orthogonality(T, cd.inverse_class)
+    if _duals(T, cd.inverse_class) is None:
+        raise VerificationError("verification failed: orthogonality")
     return T
 
 
@@ -402,7 +396,7 @@ def fs_indicators(T: CharacterTable) -> IndicatorData:
         raise VerificationError("Frobenius-Schur indicator contradicts duality")
     # r(c) = sum_i sigma_i chi_i(c), with |sigma_i| <= 1
     r = img.exact(sum(img.irrep_l1),
-                  lambda p, V: modular.dot(modular.residues(sigma, p), V, p), class_axes=1)
+                  lambda p, V: modular.dot(modular.residues(sigma, p), V, p), by_class=True)
     if r is None or any(x < 0 for x in r):
         raise VerificationError("negative or fractional square-root count")
     r = [int(x) for x in r]
@@ -518,13 +512,13 @@ def load_table(text: str) -> CharacterTable:
         coeffs=np.array(coeffs, dtype=np.int64),
     )
     try:
-        stable = modular.images(T).perms is not None
-        gram = _row_gram(T)
+        img = modular.images(T)
+        duals = _duals(T, img.conj)
     except ValueError as exc:  # beyond the limits of the modular engine
         raise TableError(f"format error: {exc}") from exc
-    if not stable:
+    if img.perms is None:
         raise TableError("character values not Galois-stable on import")
-    if gram is None or (gram != np.diag([T.order] * T.num_classes)).any():
+    if duals is None:
         raise TableError("orthogonality failed on import")
     try:
         fs_indicators(T)

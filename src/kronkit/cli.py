@@ -155,6 +155,8 @@ def cmd_kron(args) -> Report:
     for d in ds:
         # sum of squares = |conj_d(G)|, which Burnside's lemma also counts
         cr = kron.conj_count(T, d, args.kappa_cap)
+        if "kappa_sq" not in cr.values:  # past the 2^53 certificate
+            raise kron.InexactError
         rep.records.append(Record(name=f"kappa_tensor_{d}", values={
             "sum_sq": cr.values["kappa_sq"], "burnside": cr.values["burnside"]}))
         top = max(int(slab.max()) for slab in kron.kappa_slabs(T, d))
@@ -282,6 +284,9 @@ def render_report(rep: Report, fmt: str, timings: bool = False) -> str:
                             str(r.agree).lower()])
         for err in rep.errors:
             w.writerow(["", "error", "", err, "false"])
+        if timings:  # as the text format's time lines
+            for k, v in rep.timings:
+                w.writerow([k, "time", "", f"{v:.3f}s", ""])
         return buf.getvalue()
     # text
     lines = [f"input: {rep.input}"]

@@ -180,9 +180,9 @@ class SubgroupSpec:
 
 # -- construction ------------------------------------------------------------
 
-def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
-                          labels_from_perms: bool = False) -> GroupTable:
-    """Closure of permutation generators, breadth-first from the identity.
+def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """Closure of permutation generators, breadth-first from the identity,
+    each element labelled by its permutation as a tuple.
 
     Element k is the k-th permutation the search reaches, taking elements in
     index order and, for each, the generators in the order given.  The search
@@ -242,10 +242,7 @@ def group_from_generators(degree: int, gens, order_cap: int = DEFAULT_ORDER_CAP,
     for row, p, j in zip(rows[1:], parent[1:], via[1:]):
         # every index is in range; "clip" spares ``take`` its copy of ``out``
         rows[p].take(left[j], None, row, "clip")
-    labels = None
-    if labels_from_perms:
-        labels = [str(p) for p in map(tuple, np.concatenate(perms).tolist())]
-    return GroupTable(table, labels=labels)
+    return GroupTable(table, labels=[str(p) for p in map(tuple, np.concatenate(perms).tolist())])
 
 
 def validate_cayley(table, labels=None) -> GroupTable:

@@ -46,6 +46,7 @@ from .chartab import CharacterTable, SubgroupSpec, VerificationError, dim_fixed_
 # (k = 81, 531K d=2 entries).
 DEFAULT_KAPPA_CAP = 10**8
 SKIPPED = "skipped: cap"
+PAST_2_53 = "skipped: 2^53"  # a kappa sum past the exact float64 products
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,13 @@ def _conjugation(T: CharacterTable) -> list[int]:
     return [T.conjugate_irrep(w) for w in range(T.num_classes)]
 
 
+class InexactError(ValueError):
+    """A float64 product reached 2^53, past its exactness certificate."""
+
+    def __init__(self):
+        super().__init__("kappa sums too large for exact float64 products (an entry >= 2^53)")
+
+
 # Exactness of the float64 products below.  Every product of two arrays of
 # non-negative integers is, entry by entry, a sum of products of their
 # entries, added in whatever order BLAS chooses.  Rounding to nearest is
@@ -153,7 +161,7 @@ def _conjugation(T: CharacterTable) -> list[int]:
 # into it.
 def _certified(x: np.ndarray) -> np.ndarray:
     if x.size and x.max() >= 2**53:
-        raise ValueError("kappa sums too large for exact float64 products (an entry >= 2^53)")
+        raise InexactError
     return x
 
 
@@ -225,16 +233,14 @@ def _kappa_sums(T: CharacterTable, d: int) -> tuple[int, int]:
 
 
 def kappa_slabs(T: CharacterTable, d: int):
-    """kappa over all (d+1)-tuples of irreps, one first irrep a at a time:
-    kappa(a, b) = [b = a'] at d = 1, t3[a] at d = 2, and at d = 3 the slab
-    kappa(a, b, c, d') = sum_w t3[a, b, w] t3[w', c, d']."""
-    k, perm = T.num_classes, _conjugation(T)
-    if d == 1:
-        return iter(np.eye(k, dtype=np.int64)[perm])
+    """kappa over all (d+1)-tuples of irreps, one first irrep a at a time,
+    for d = 2 or 3: t3[a] at d = 2, and at d = 3 the slab kappa(a, b, c, d')
+    = sum_w t3[a, b, w] t3[w', c, d']."""
     if d == 2:
         return iter(kappa_tensor3(T))
     if d != 3:
-        raise ValueError("tuple-sum formulas are capped at d = 3")
+        raise ValueError("kappa slabs are built for d = 2 and 3")
+    k, perm = T.num_classes, _conjugation(T)
     t3 = kappa_tensor3(T).astype(np.float64)
     # By Cauchy-Schwarz a slab entry is at most the largest sum of squares of
     # a t3 slab t3[x] (the largest diagonal entry of Phi(I)); its terms are
@@ -288,8 +294,8 @@ def over_kappa_cap(T: CharacterTable, d: int, cap: int, slabs: int = 0) -> bool:
 #     sum kappa^2 = (1/|G|) sum_c |C_c| (|G| / |C_c|)^d,   Burnside's count.
 #
 # Column orthogonality follows from the row orthogonality of a square table
-# (X D X* = |G| I with D = diag |C_c| gives X* X = |G| D^-1), and both
-# ``character_table`` and ``load_table`` check that.  For a group's table
+# (X D X* = |G| I with D = diag |C_c| gives X* X = |G| D^-1), which
+# ``chartab._duals`` proves for every table.  For a group's table
 # Galois also permutes the irreps, so psi(c) is a rational integer and an
 # irrational psi can only come from a bug.  There kappa is a multiplicity,
 # so term by term kappa^2 >= kappa >= (prod sigma) kappa, prod sigma being
@@ -323,39 +329,45 @@ def _psi_moment(T: CharacterTable, d: int) -> int:
     return _moment(T, psi[:, 0].tolist(), d + 1, "psi moment")
 
 
+def _add_kappa_sum(rec: Record, formula: str, T: CharacterTable, d: int, which: int,
+                   kappa_cap: int) -> Record:
+    """Add ``_kappa_sums(T, d)[which]`` to ``rec`` as ``formula``, or a note
+    when the cap or the 2^53 certificate stops it."""
+    if over_kappa_cap(T, d, kappa_cap):
+        rec.notes[formula] = SKIPPED
+        return rec
+    try:
+        rec.values[formula] = _kappa_sums(T, d)[which]
+    except InexactError:
+        rec.notes[formula] = PAST_2_53
+    return rec
+
+
 def conj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
     """|conj_d(G)| by Burnside's lemma, (1/|G|) sum_c |C_c| |C_G(c)|^d, and
     by the kappa-square sum."""
-    rec = Record(f"conj_{d}", {"burnside": _burnside(T, d)})
-    if over_kappa_cap(T, d, kappa_cap):
-        rec.notes["kappa_sq"] = SKIPPED
-    else:
-        rec.values["kappa_sq"] = _kappa_sums(T, d)[0]
-    return rec
+    return _add_kappa_sum(Record(f"conj_{d}", {"burnside": _burnside(T, d)}),
+                          "kappa_sq", T, d, 0, kappa_cap)
 
 
 def rconj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -> Record:
     """|rconj_d(G)| via the square-root moment and the sigma-weighted
     Kronecker sum."""
-    rec = Record(f"rconj_{d}", {"r_moment": _r_moment(T, d)})
-    if over_kappa_cap(T, d, kappa_cap):
-        rec.notes["sigma_weighted"] = SKIPPED
-    else:
-        rec.values["sigma_weighted"] = _kappa_sums(T, d)[1]
-    return rec
+    return _add_kappa_sum(Record(f"rconj_{d}", {"r_moment": _r_moment(T, d)}),
+                          "sigma_weighted", T, d, 1, kappa_cap)
 
 
 def _least_witness(T: CharacterTable, d: int, bad, cap: int) -> Optional[KroneckerResult]:
     """The lexicographically least (d+1)-tuple of irreps where
     ``bad(a, slab)`` holds, with its kappa, once a sum has shown one exists;
-    None when the cap stops the search first.  d = 1 builds no tensor, d = 2
-    pays for t3, and d = 3 also for each slab it visits."""
+    None when the cap stops the search first.  d = 2 pays for t3, and d = 3
+    also for each slab it visits."""
     # irrep 0 of a group's table is linear (``character_table`` sorts by
     # degree), and kappa(lambda, b, c, d) = kappa(b, c, lambda d) for a linear
     # lambda, so d=3 slab 0 holds a copy of t3: where MFTP fails at d = 2, the
     # least d = 3 witness lies in slab 0
     k, spare = T.num_classes, cap - kappa_price(T)
-    budget = k if d == 1 else 0 if spare < 0 else k if d == 2 else min(k, spare // k**4)
+    budget = 0 if spare < 0 else k if d == 2 else min(k, spare // k**4)
     for a, slab in zip(range(budget), kappa_slabs(T, d) if budget else ()):
         mask = bad(a, slab)
         first = int(mask.argmax())  # the first True in C (lexicographic) order
@@ -377,9 +389,11 @@ def is_mftp(T: CharacterTable, d: int = 2, kappa_cap: int = DEFAULT_KAPPA_CAP):
 
 def is_d_real_char(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP):
     """Character-side d-reality test: kappa <= 1 everywhere and the sigma
-    product is 1 on every kappa = 1 tuple; the witness as for ``is_mftp``."""
-    if _r_moment(T, d) == _burnside(T, d):
-        return True, None
+    product is 1 on every kappa = 1 tuple; the witness as for ``is_mftp``
+    from d = 2 (at d = 1, reality, there is none)."""
+    real = _r_moment(T, d) == _burnside(T, d)
+    if real or d == 1:
+        return real, None
     s = _sigma_vector(T)
     rest = reduce(np.multiply.outer, [s] * d)  # the sigma product of the last d irreps
     return False, _least_witness(
@@ -447,7 +461,7 @@ def classify(T: CharacterTable, kappa_cap: int = DEFAULT_KAPPA_CAP) -> list[Reco
     """The real, mftp_2, mftp_3 and doubly_real records from the character
     table alone, and the combinatorial profile when the group is known and
     matches it.  Traps a violation of doubly real <=> real and MFTP."""
-    real_char, _ = is_d_real_char(T, 1)
+    real_char = _r_moment(T, 1) == _burnside(T, 1)
     real = Record("real", {"char": int(real_char)})
     if T.classes is not None:
         # independent reality check through the class structure

@@ -48,10 +48,9 @@ One embedding per prime.  As s_a s_b = s_ab, the certified pi_a give a
 class permutation for every unit.  So, modulo every prime:
 
 - a sum over all classes, weighted by class sizes, of an integer
-  polynomial in chi(c), chi(c^2) and chi(q c), for a class map q that
-  commutes with every pi_a (``commutes``), is fixed by every s_a:
-  reindexing the classes by pi_a gives the same sum.  Its images at every
-  embedding agree.
+  polynomial in chi(c) and chi(c^2) is fixed by every s_a: reindexing the
+  classes by pi_a gives the same sum.  Its images at every embedding
+  agree.
 - an output indexed by classes obeys s_a(S(c)) = S(pi_a c), so its images
   at embedding 1 are invariant under every pi_a (``invariant``) exactly
   when its images at every embedding agree.
@@ -233,24 +232,10 @@ class TableImages:
             perms.append(pi)
         return perms
 
-    def commutes(self, perm) -> bool:
-        """True when the class map ``perm`` commutes with every pi_a."""
-        perm = np.asarray(perm)
-        return self.perms is not None and all((pi[perm] == perm[pi]).all() for pi in self.perms)
-
-    def invariant(self, x, axes: int = 1) -> bool:
-        """True when ``x``, indexed by classes along its first ``axes`` axes,
-        is unchanged by every pi_a."""
-        if self.perms is None:
-            return False
+    def invariant(self, x) -> bool:
+        """True when ``x``, indexed by classes, is unchanged by every pi_a."""
         x = np.asarray(x)
-        for pi in self.perms:
-            moved = x
-            for axis in range(axes):
-                moved = np.take(moved, pi, axis=axis)
-            if not np.array_equal(moved, x):
-                return False
-        return True
+        return self.perms is not None and all(np.array_equal(x[pi], x) for pi in self.perms)
 
     def _count(self, bound: int) -> int:
         """How many primes multiply to more than 2 * bound; finds them, or
@@ -281,22 +266,22 @@ class TableImages:
             self.primes.append((p, self._images(p, [1])[:, :, 0]))
         return self.primes[:n]
 
-    def exact(self, bound: int, sums_mod, class_axes: int = 0):
+    def exact(self, bound: int, sums_mod, by_class: bool = False):
         """Exact values of class sums that are all rational, else None.
 
         ``sums_mod(p, V)`` gives the residues mod p of the sums at the
-        embedding of ``at``; the first ``class_axes`` axes of its result
-        index classes.  ``bound`` bounds every power-basis coefficient of
-        every sum.  The result is an array of the sums' integer values (int64
-        for one prime, Python ints for more).  None also when the table
-        failed the Galois certificate.
+        embedding of ``at``, indexed by classes when ``by_class``.
+        ``bound`` bounds every power-basis coefficient of every sum.  The
+        result is an array of the sums' integer values (int64 for one prime,
+        Python ints for more).  None also when the table failed the Galois
+        certificate.
         """
         if self.perms is None:
             return None
         value = modulus = None
         for p, V in self.at(bound):
             residue = np.asarray(sums_mod(p, V))
-            if class_axes and not self.invariant(residue, class_axes):
+            if by_class and not self.invariant(residue):
                 return None
             if modulus is None:
                 value, modulus = residue, p

@@ -132,8 +132,7 @@ def symmetric(n: int) -> GroupTable:
         return cyclic(1)
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
-    return group_from_generators(n, [swap, cycle], order_cap=factorial(n),
-                                 labels_from_perms=True)
+    return group_from_generators(n, [swap, cycle], order_cap=factorial(n))
 
 
 def alternating(n: int) -> GroupTable:
@@ -144,8 +143,7 @@ def alternating(n: int) -> GroupTable:
         c = list(range(n))
         c[0], c[1], c[i] = 1, i, 0  # 3-cycle (0 1 i)
         gens.append(tuple(c))
-    return group_from_generators(n, gens, order_cap=factorial(n) // 2,
-                                 labels_from_perms=True)
+    return group_from_generators(n, gens, order_cap=factorial(n) // 2)
 
 
 def generalized_dihedral(A: GroupTable) -> GroupTable:

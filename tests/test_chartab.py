@@ -298,6 +298,16 @@ def test_load_table_refuses_tables_not_closed_under_duality(name, message):
         load_table(non_dual_tables()[name])
 
 
+@pytest.mark.parametrize("order", [2**62, 2**70])
+def test_load_table_refuses_non_orthogonal_rows_at_any_order(order):
+    # the rows (1, 1) and (1, -1) with class sizes 1 and n - 1: Q[0, 1] = 2 - n;
+    # past int64 the comparison with n must still refuse, not overflow
+    text = (f"order {order}\nexponent 1\nclasses 2\nsizes 1 {order - 1}\npowermap2 0 1\n"
+            "chi: 1:[0=1/1] | 1:[0=1/1]\nchi: 1:[0=1/1] | 1:[0=-1/1]\n")
+    with pytest.raises(TableError, match="orthogonality failed on import"):
+        load_table(text)
+
+
 def test_load_table_writes_values_at_the_exponent():
     # zeta_3 = zeta_6^2 = zeta_6 - 1: written at conductor 3, dumped at 6
     text = dump_table(table("cyclic", 6))

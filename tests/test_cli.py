@@ -111,6 +111,50 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+def test_csv_timings_are_one_row_per_entry(capsys, tmp_path):
+    mf = tmp_path / "battery.txt"
+    mf.write_text("S3 symmetric 3\nC4 cyclic 4\n")
+    _, text = run(capsys, "scan", "--battery", str(mf), "--format", "text", "--timings")
+    code, out = run(capsys, "scan", "--battery", str(mf), "--format", "csv", "--timings")
+    assert code == 0
+    times = [row for row in csv.reader(io.StringIO(out)) if row[1] == "time"]
+    assert [(g, f, a) for g, _, f, _, a in times] == [("S3", "", ""), ("C4", "", "")]
+    assert all(re.fullmatch(r"\d+\.\d{3}s", row[3]) for row in times)
+    # the text format's time lines, entry by entry
+    assert [ln.split(":")[0] for ln in text.splitlines() if ln.startswith("time ")] == [
+        "time S3", "time C4"]
+    _, plain = run(capsys, "scan", "--battery", str(mf), "--format", "csv")
+    assert out.startswith(plain) and out.count("\n") == plain.count("\n") + 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "gl2", "--params", "7", "--d", "12"),
+    ("--family", "symmetric", "--params", "3", "--d", "42"),
+])
+def test_verify_past_2_53_notes_the_kappa_sums(capsys, argv):
+    # the chain's certificate fails at these d; Burnside and the square-root
+    # moment are Python-int class sums and are reported
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    d = argv[-1]
+    assert records[f"conj_{d}"]["notes"]["kappa_sq"] == kron.PAST_2_53 == "skipped: 2^53"
+    assert records[f"rconj_{d}"]["notes"]["sigma_weighted"] == kron.PAST_2_53
+    assert set(records[f"conj_{d}"]["values"]) == {"burnside"}
+    assert set(records[f"rconj_{d}"]["values"]) == {"r_moment"}
+
+
+def test_kron_refuses_kappa_sums_past_2_53(capsys, monkeypatch):
+    def past(T, d):
+        raise kron.InexactError
+
+    monkeypatch.setattr(kron, "_kappa_sums", past)
+    assert main(["kron", *S3]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: kappa sums too large for exact float64 products (an entry >= 2^53)\n")
+
+
 def test_scan_small_manifest(capsys, tmp_path):
     mf = tmp_path / "battery.txt"
     mf.write_text("S3 symmetric 3\nC4 cyclic 4\n")
@@ -338,13 +382,17 @@ def test_help_usage_and_errors_match_the_parser_with_every_subcommand(
         assert "{build,chartab,kron,classify,verify,scan}" in out
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_parse(capsys, tmp_path, monkeypatch):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
     lines = [ln for ln in block.splitlines() if ln.startswith("kronkit ")]
     assert len(lines) >= 6
+    monkeypatch.chdir(tmp_path)  # the lines that write files write them here, in order
     for line in lines:
-        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        build_parser().parse_args(argv)
+        assert main(argv) == 0, line
+    capsys.readouterr()
 
 
 def test_exponent_not_dividing_order_is_a_one_line_error(capsys, tmp_path):

@@ -365,7 +365,7 @@ _PERMS = st.integers(1, 6).flatmap(lambda d: st.lists(
 @given(_PERMS)
 def test_group_from_generators_matches_reference(case):
     degree, gens = case
-    G = group_from_generators(degree, gens, labels_from_perms=True)
+    G = group_from_generators(degree, gens)
     mul, labels = ref_group_from_generators(degree, gens)
     assert rows(G) == mul and G.labels == labels
     assert G.inv == ref_inverses(mul)
@@ -394,7 +394,7 @@ def test_order_cap_edge(degree, order):
 ], ids=["identity-and-repeats", "repeated", "identity-only", "none", "degree-1", "degree-0",
         "degree-0-none"])
 def test_identity_repeated_and_missing_generators(degree, gens):
-    G = group_from_generators(degree, gens, labels_from_perms=True)
+    G = group_from_generators(degree, gens)
     mul, labels = ref_group_from_generators(degree, gens)
     assert rows(G) == mul and G.labels == labels
 

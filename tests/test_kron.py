@@ -100,10 +100,12 @@ def test_kappa4_exact_at_float_bound(above):
     assert sorted(T.conjugate_irrep(w) != w for w in range(k)) == [False, False, True, True]
     t = _plant(T, t3)
     if above:
-        calls = [(f, d) for f in (kron.conj_count, kron.rconj_count) for d in (2, 3)]
-        for call, d in [*calls, (kron.kappa_slabs, 3)]:  # d = 2 slabs are t3 itself
-            with pytest.raises(ValueError, match="too large"):
-                call(T, d)
+        # the counts note the sums they leave out; d = 2 slabs are t3 itself
+        for d in (2, 3):
+            assert kron.conj_count(T, d).notes == {"kappa_sq": kron.PAST_2_53}
+            assert kron.rconj_count(T, d).notes == {"sigma_weighted": kron.PAST_2_53}
+        with pytest.raises(kron.InexactError, match="too large"):
+            kron.kappa_slabs(T, 3)
         # the decisions come from class sums of the table, with no tensor
         assert kron.is_mftp(T, 2) == kron.is_mftp(T, 3) == (True, None)
         return
@@ -119,8 +121,8 @@ def test_kappa4_exact_at_float_bound(above):
         s[a] * s[b] * s[c] * s[d] * v for (a, b, c, d), v in t4.items())
     slabs = np.stack(list(kron.kappa_slabs(T, 3)))
     assert all(slabs[irreps] == v for irreps, v in t4.items())
-    with pytest.raises(ValueError, match="too large"):  # Phi^2(I) is far past 2^53
-        kron.conj_count(T, 4)
+    # Phi^2(I) is far past 2^53
+    assert kron.conj_count(T, 4).notes == {"kappa_sq": kron.PAST_2_53}
 
 
 def test_conj_count_kappa_sq_exact_beyond_int64():
@@ -280,6 +282,15 @@ def test_conj_count_copies_no_tensor():
     assert peak < k**4 * 8 // 8  # an eighth of the d=3 tensor
 
 
+def _slabs(T, d):
+    """kappa over all (d+1)-tuples, one first irrep a at a time: at d = 1
+    kappa(a, b) = [b = a'], from d = 2 ``kron.kappa_slabs``."""
+    if d > 1:
+        return kron.kappa_slabs(T, d)
+    return np.eye(T.num_classes, dtype=np.int64)[[T.conjugate_irrep(a)
+                                                  for a in range(T.num_classes)]]
+
+
 def _slab_sweep(T, d):
     """The full slab sweep, kept as the oracle of the class sums and the
     transfer-chain sums, and of the decisions taken from them: (sum kappa,
@@ -291,7 +302,7 @@ def _slab_sweep(T, d):
         rest = np.multiply.outer(rest, s)
     total = kappa_sq = sigma_weighted = 0
     first_big = first_unreal = None
-    for a, slab in enumerate(kron.kappa_slabs(T, d)):
+    for a, slab in enumerate(_slabs(T, d)):
         assert slab.max() < 2**16  # so each slab's int64 sums are exact
         total += int(slab.sum())
         kappa_sq += int((slab * slab).sum())
@@ -325,9 +336,11 @@ def test_kappa_sums_equal_the_slab_sums():
             assert kron._psi_moment(T, d) == total
             assert kron.conj_count(T, d).values["kappa_sq"] == kappa_sq
             assert kron.rconj_count(T, d).values["sigma_weighted"] == sigma_weighted
-            assert _as_pair(kron.is_d_real_char(T, d)) == first_unreal
             if d > 1:
+                assert _as_pair(kron.is_d_real_char(T, d)) == first_unreal
                 assert _as_pair(kron.is_mftp(T, d)) == first_big
+            else:  # reality: decided with no witness
+                assert kron.is_d_real_char(T, 1) == (first_unreal is None, None)
             decided += 1
     assert decided == 3 * len(tables)
 
@@ -380,3 +393,16 @@ def test_psl2_8_is_not_mftp():
     # PSL2(8) = SL2(8), of order 504: a non-abelian simple group past q = 7
     rec = classified(table("psl2", 8))["mftp_2"]
     assert rec.values["char"] == 0 and rec.witness.endswith("=2")
+
+
+def test_reality_is_decided_without_a_slab(monkeypatch):
+    asked, slabs = [], kron.kappa_slabs
+    monkeypatch.setattr(kron, "kappa_slabs", lambda T, d: asked.append(d) or slabs(T, d))
+    for fam, params, real in [("cyclic", (3,), 0), ("frobenius", (7, 1, 3), 0),
+                              ("symmetric", (4,), 1)]:
+        T = _fresh_table(fam, *params)
+        assert kron.is_d_real_char(T, 1) == (bool(real), None)
+        assert classified(T)["real"].values == {"char": real}
+    assert 1 not in asked
+    with pytest.raises(ValueError, match="d = 2 and 3"):
+        slabs(T, 1)

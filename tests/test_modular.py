@@ -5,13 +5,16 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from kronkit import kron, modular
+from kronkit import chartab, kron, modular
 from kronkit.chartab import (
     CharacterTable,
-    _column_gram,
-    _row_gram,
+    TableError,
+    VerificationError,
+    _kronecker_matrix,
     character_table,
+    dump_table,
     fs_indicators,
+    load_table,
 )
 from kronkit.cli import _battery_entries
 from kronkit.cyclo import Cyclotomic
@@ -26,7 +29,8 @@ def _integer(x: Cyclotomic) -> int:
 
 
 def _reference(T):
-    """Grams, sigma, r and the kappa tensor by Cyclotomic sums."""
+    """The d = 1 Kronecker matrix, sigma, r and the kappa tensor by Cyclotomic
+    sums, after both orthogonality relations are asserted on the values."""
     n, k, e = T.order, T.num_classes, T.exponent
     inv = T.classes.inverse_class
     X = [[T.value(i, c) for c in range(k)] for i in range(k)]
@@ -42,8 +46,12 @@ def _reference(T):
 
     row = [[_integer(total(X[i][c] * X[j][inv[c]] * T.sizes[c] for c in range(k)))
             for j in range(k)] for i in range(k)]
+    assert row == np.diag([n] * k).tolist()
     col = [[_integer(total(X[i][c] * X[i][inv[c2]] for i in range(k)))
             for c2 in range(k)] for c in range(k)]
+    assert col == np.diag([n // s for s in T.sizes]).tolist()
+    gram = [[_integer(total(X[i][c] * X[j][c] * T.sizes[c] for c in range(k)))
+             for j in range(k)] for i in range(k)]
     sigma = [_integer(total(X[i][T.powermap2[c]] * T.sizes[c] for c in range(k))) // n
              for i in range(k)]
     r = [_integer(total(X[i][c] * sigma[i] for i in range(k))) for c in range(k)]
@@ -56,28 +64,24 @@ def _reference(T):
                 assert kappa % n == 0
                 for idx in {(u, v, w), (u, w, v), (v, u, w), (v, w, u), (w, u, v), (w, v, u)}:
                     t3[idx] = kappa // n
-    return row, col, sigma, r, t3
+    return gram, sigma, r, t3
 
 
 def _modular(T):
-    inv = T.classes.inverse_class
     fs = fs_indicators(T)
-    return (_row_gram(T, inv).tolist(), _column_gram(T, inv).tolist(),
-            list(fs.sigma), list(fs.r), kron.kappa_tensor3(T))
+    return (_kronecker_matrix(T).tolist(), list(fs.sigma), list(fs.r), kron.kappa_tensor3(T))
 
 
 def _assert_same(got, want, label=""):
-    row, col, sigma, r, t3 = want
-    assert got[:4] == (row, col, sigma, r), label
-    assert (got[4] == t3).all(), label
+    gram, sigma, r, t3 = want
+    assert got[:3] == (gram, sigma, r), label
+    assert (got[3] == t3).all(), label
 
 
 def test_modular_matches_cyclotomic_on_battery():
     for label, spec in _battery_entries(None):
         T = table(spec.family, *spec.params)
         _assert_same(_modular(T), _reference(T), label)
-        # an imported table conjugates through the embedding -a instead
-        assert _row_gram(T).tolist() == _row_gram(T, T.classes.inverse_class).tolist(), label
 
 
 def test_exactness_edge_lowered_prime_ceiling(monkeypatch):
@@ -92,7 +96,7 @@ def test_exactness_edge_lowered_prime_ceiling(monkeypatch):
     primes = [p for p, _ in modular.images(T).primes]
     assert primes == [241, 229]  # the kappa bound 512 needs P > 1024
     _assert_same(got, want)
-    assert got[4].dtype == np.int64
+    assert got[3].dtype == np.int64
     # eight factors: bound 2^7 * 6576 needs three primes, combined in Python ints
     assert kron.kronecker(T, (v,) * 8).value == want_kron
     assert len(modular.images(T).primes) == 3
@@ -170,7 +174,7 @@ def test_certificate_refuses_a_planted_galois_orbit():
     U = CharacterTable(order=5, exponent=5, sizes=T.sizes, powermap2=T.powermap2,
                        coeffs=coeffs)
     img = modular.images(U)
-    assert img.perms is None and not img.commutes(range(5)) and not img.invariant([1] * 5)
+    assert img.perms is None and not img.invariant([1] * 5)
     assert img.exact(1, lambda p, V: V[0, 0]) is None
 
 
@@ -195,3 +199,51 @@ def test_miller_rabin_exactness_edge():
     # the least strong pseudoprimes to bases 2; 2, 3; and 2, 3, 5 are caught
     for n in (2047, 1_373_653, 25_326_001):
         assert not modular._is_prime(n)
+
+
+def _count_exact(monkeypatch):
+    """A list that gains one entry per ``TableImages.exact`` call."""
+    calls, exact = [], modular.TableImages.exact
+    monkeypatch.setattr(modular.TableImages, "exact",
+                        lambda self, *args, **kw: calls.append(1) or exact(self, *args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("family,params", [("symmetric", (4,)), ("gl2", (3,)), ("cyclic", (5,))])
+def test_one_class_sum_checks_a_table(monkeypatch, family, params):
+    # one class sum checks a built table and finds its duals; the indicators
+    # take two more.  An import adds none for its duals
+    calls = _count_exact(monkeypatch)
+    T = character_table(build(family, *params))
+    assert len(calls) == 1
+    fs_indicators(T)
+    [T.conjugate_irrep(i) for i in range(T.num_classes)]
+    assert len(calls) == 3
+    calls.clear()
+    U = load_table(dump_table(T))
+    assert len(calls) == 3
+    [U.conjugate_irrep(i) for i in range(U.num_classes)]
+    assert len(calls) == 3
+
+
+def test_rows_not_closed_under_a_planted_inversion_map_are_refused(monkeypatch):
+    # C3's inverse classes are 0, 2, 1; planted as the identity, the two
+    # complex rows still give Q = 3 P, but no row equals its dual at c^-1
+    G = build("cyclic", 3)
+    assert chartab.conjugacy_data(G).inverse_class == (0, 2, 1)
+    duals = chartab._duals
+    monkeypatch.setattr(chartab, "_duals", lambda T, inverse_class: duals(T, [0, 1, 2]))
+    with pytest.raises(VerificationError, match="orthogonality"):
+        character_table(G)
+    monkeypatch.undo()
+    text = dump_table(character_table(G))
+    load_table(text)
+    init = modular.TableImages.__init__
+
+    def plant(self, T):  # complex conjugation certified as the identity
+        init(self, T)
+        self.conj = np.arange(len(T.sizes))
+
+    monkeypatch.setattr(modular.TableImages, "__init__", plant)
+    with pytest.raises(TableError, match="orthogonality"):
+        load_table(text)
