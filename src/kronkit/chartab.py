@@ -14,11 +14,11 @@ rho(g) and so into the exact power-basis coefficients of every value at the
 exponent e.  A table keeps them as one int64 array [irrep, class,
 phi(e)], ``CharacterTable.coeffs``, from the lift to the output.  One exact
 class sum, the d = 1 Kronecker matrix, checks both orthogonality relations
-of every table and gives its duals (``_duals``), with the inverse classes
-of the group or, for an import, the certified complex conjugation.  Class
-sums run as float64 matrix products at one embedding of Z[zeta_e] into F_p
-per prime (``modular``, which certifies the table Galois-stable first);
-they also give the indicators, square-root counts and fixed spaces.
+of every table and gives its duals and indicators (``_duals``), with the
+inverse classes of the group or, for an import, the certified complex
+conjugation.  Such sums run as float64 matrix products at one embedding of
+Z[zeta_e] into F_p per prime (``modular``, which certifies the table
+Galois-stable first); linear ones are int64 row sums (``rational_rows``).
 The exchange format writes every value at the exponent e: ``load_table``
 reads each distinct value string once, straight into its integer row at e
 (``cyclo.parse_value``).
@@ -76,7 +76,6 @@ class CharacterTable:
         self.coeffs = coeffs
         self.group = group
         self.classes = classes
-        self.fs: IndicatorData | None = None
         self._cache: dict = {}
 
     @property
@@ -297,17 +296,26 @@ def _lift(chi, degrees, G: GroupTable, cd: ConjugacyData, p: int, z: int, e: int
 
 
 def _kronecker_matrix(T: CharacterTable):
-    """Q[i, j] = sum_c |C_c| chi_i(c) chi_j(c) = n kappa(V_i, V_j) exactly, or
-    None: reindexing the classes by any pi_a fixes it (``modular``)."""
+    """[Q | n sigma] exactly, or None, from V [(V |C|)^T | w] mod each prime:
+    Q[i, j] = sum_c |C_c| chi_i(c) chi_j(c) = n kappa(V_i, V_j) and n sigma_i
+    = sum_c |C_c| chi_i(c^2) = sum_c w_c chi_i(c), w_c the size of the classes
+    that square into c (in Python ints: import sizes may pass int64).  Every
+    pi_a keeps sizes and commutes with ``powermap2``, so it keeps w, and one
+    embedding is enough (``modular``)."""
     img = modular.images(T)
     m = img.class_l1
-    return img.exact(img.r * sum(s * m[c] ** 2 for c, s in enumerate(T.sizes)),
-                     lambda p, V: modular.dot(V * modular.residues(T.sizes, p) % p, V.T, p))
+    w = [0] * T.num_classes
+    for c, s in zip(T.powermap2, T.sizes):
+        w[c] += s
+    bound = max(img.r * sum(s * m[c] ** 2 for c, s in enumerate(T.sizes)),
+                sum(x * m[c] for c, x in enumerate(w)))
+    return img.exact(bound, lambda p, V: modular.dot(V, np.concatenate(
+        [(V * modular.residues(T.sizes, p) % p).T, modular.residues(w, p)[:, None]], axis=1), p))
 
 
 def _duals(T: CharacterTable, inverse_class):
-    """The dual P(i) of each irrep, cached on T, when the rows are orthonormal
-    and closed under the class map ``inverse_class``; else None.
+    """The dual P(i) of each irrep, cached on T with n sigma, when the rows are
+    orthonormal and closed under the class map ``inverse_class``; else None.
 
     Q (``_kronecker_matrix``) must be n P for a permutation matrix P (Q is
     symmetric, so one entry n per row makes P a permutation), and
@@ -325,14 +333,16 @@ def _duals(T: CharacterTable, inverse_class):
     inversion, or the certified pi_(-1) of an import), that is sum_i chi_i(c)
     chi_i(iota c') = [c = c'] n / |C_c|.
     """
-    Q = _kronecker_matrix(T)
-    if Q is None:
+    S = _kronecker_matrix(T)
+    if S is None:
         return None
+    Q = S[:, :-1]
     perm = (Q == T.order).argmax(axis=1)
     P = np.eye(T.num_classes, dtype=bool)[perm]  # n may pass int64: Q is compared in place
     if (Q[P] != T.order).any() or Q[~P].any() or (
             T.coeffs[:, list(inverse_class)] != T.coeffs[perm]).any():
         return None
+    T._cache["n_sigma"] = S[:, -1].tolist()
     perm = T._cache["duals"] = tuple(perm.tolist())
     return perm
 
@@ -355,6 +365,8 @@ def character_table(G: GroupTable) -> CharacterTable:
         raise VerificationError("degree recovery failed")
     degrees = np.array(degrees, dtype=np.int64)
     coeffs = _lift(degrees[:, None] * W % p * inv_sizes % p, degrees, G, cd, p, z, e)
+    if (coeffs >= 2**52).any() or (coeffs <= -2**52).any():  # as ``load_table``
+        raise VerificationError("a lifted coefficient is not below 2^52 in size")
     if (coeffs[:, 0, 0] != degrees).any() or coeffs[:, 0, 1:].any():
         raise VerificationError("lifted degree mismatch")
     if (degrees**2).sum() != n or (n % degrees).any():
@@ -377,40 +389,45 @@ def character_table(G: GroupTable) -> CharacterTable:
 
 # -- Frobenius-Schur indicators and fixed spaces ------------------------------
 
+def rational_rows(x: np.ndarray, message: str) -> list[int]:
+    """The rational values of power-basis rows x[..., phi(e)], else
+    ``VerificationError(message)``.  Sums of at most 2^11 table rows
+    (``modular.MAX_TERMS``), with coefficients below 2^52 in size and weights
+    of at most 1, stay below 2^63: int64 adds them exactly."""
+    if x[..., 1:].any():
+        raise VerificationError(message)
+    return x[..., 0].tolist()
+
+
 def fs_indicators(T: CharacterTable) -> IndicatorData:
     """sigma per irrep and square-root counts r per class (cached on T)."""
-    if T.fs is not None:
-        return T.fs
-    img = modular.images(T)
+    fs = T._cache.get("fs")
+    if fs is not None:
+        return fs
     n = T.order
-    pm2 = list(T.powermap2)
-    m = img.class_l1
-    # n sigma_i = sum_c |C_c| chi_i(c^2)
-    sums = img.exact(sum(s * m[c] for s, c in zip(T.sizes, pm2)),
-                     lambda p, V: modular.dot(V[:, pm2], modular.residues(T.sizes, p), p))
-    if sums is None or any(x % n or x // n not in (-1, 0, 1) for x in sums):
+    T.conjugate_irrep(0)  # ``_duals`` caches n sigma with the duals
+    sums = T._cache["n_sigma"]
+    if any(x % n or x // n not in (-1, 0, 1) for x in sums):
         raise VerificationError("non-integral Frobenius-Schur indicator")
-    sigma = [int(x) // n for x in sums]
+    sigma = [x // n for x in sums]
     # sigma_i != 0 exactly on the self-dual irreps
     if any((x != 0) != (T.conjugate_irrep(i) == i) for i, x in enumerate(sigma)):
         raise VerificationError("Frobenius-Schur indicator contradicts duality")
     # r(c) = sum_i sigma_i chi_i(c), with |sigma_i| <= 1
-    r = img.exact(sum(img.irrep_l1),
-                  lambda p, V: modular.dot(modular.residues(sigma, p), V, p), by_class=True)
-    if r is None or any(x < 0 for x in r):
-        raise VerificationError("negative or fractional square-root count")
-    r = [int(x) for x in r]
+    r = rational_rows(np.tensordot(sigma, T.coeffs, 1), "square-root count not rational")
+    if any(x < 0 for x in r):
+        raise VerificationError("negative square-root count")
     if sum(s * rc for s, rc in zip(T.sizes, r)) != T.order:
         raise VerificationError("square-root counts do not sum to |G|")
-    T.fs = IndicatorData(sigma=tuple(sigma), r=tuple(r))
-    return T.fs
+    fs = T._cache["fs"] = IndicatorData(sigma=tuple(sigma), r=tuple(r))
+    return fs
 
 
 def dim_fixed_space(T: CharacterTable, K: SubgroupSpec) -> tuple[int, ...]:
     """dim V^K = (1/|K|) sum over K of chi_V, for every irrep V.
 
-    One subgroup check and one class sum give every dimension; they are
-    cached on T per subgroup.
+    One subgroup check and one int64 sum of the coefficient rows give every
+    dimension; they are cached on T per subgroup.
     """
     dims = T._cache.get(("fixed", K))
     if dims is not None:
@@ -422,15 +439,15 @@ def dim_fixed_space(T: CharacterTable, K: SubgroupSpec) -> tuple[int, ...]:
     # elements of K per class
     counts = np.bincount(np.asarray(T.classes.class_of)[list(K.elements)],
                          minlength=T.num_classes).tolist()
-    img = modular.images(T)
-    bound = max(sum(m * l1 for m, l1 in zip(counts, row)) for row in img.l1)
-    # the counts are weights, not class sizes: they must be invariant under
-    # the Galois class permutations (``modular``), as they are for a group
-    totals = img.exact(bound, lambda p, V: modular.dot(
-        V, modular.residues(counts, p), p)) if img.invariant(counts) else None
-    if totals is None or any(t % K.order or t < 0 for t in totals):
+    # the int64 sums are exact while this bound on their partial sums is below 2^63
+    bound = max(sum(m * l1 for m, l1 in zip(counts, row)) for row in modular.images(T).l1)
+    if bound >= 2**63:
+        raise VerificationError("fixed-space sums not below 2^63")
+    totals = rational_rows(np.tensordot(T.coeffs, counts, axes=([1], [0])),
+                           "fixed-space dimension not a non-negative integer")
+    if any(t % K.order or t < 0 for t in totals):
         raise VerificationError("fixed-space dimension not a non-negative integer")
-    dims = T._cache[("fixed", K)] = tuple(int(t) // K.order for t in totals)
+    dims = T._cache[("fixed", K)] = tuple(t // K.order for t in totals)
     return dims
 
 
@@ -524,6 +541,4 @@ def load_table(text: str) -> CharacterTable:
         fs_indicators(T)
     except VerificationError as exc:
         raise TableError(f"indicator check failed on import: {exc}") from exc
-    except ValueError as exc:  # a bound beyond the prime supply of ``modular``
-        raise TableError(f"format error: {exc}") from exc
     return T

@@ -141,7 +141,7 @@ def cmd_kron(args) -> Report:
         raise ValueError("kron tensors take --d 2 or 3")
     label, T = _get_table(args)
     rep = Report(input=label)
-    if args.irreps:
+    if args.irreps is not None:  # an empty list is refused by ``kronecker``
         tup = _parse_params(args.irreps)
         res = kron.kronecker(T, tup)
         rep.records.append(
@@ -168,14 +168,14 @@ def cmd_verify(args) -> Report:
     ds = args.d or [1, 2]
     if any(d < 1 for d in ds):
         raise ValueError("verify takes --d 1 or more")
-    if args.subgroup_gens and args.table_file:  # an imported table has no group
+    if args.subgroup_gens is not None and args.table_file:  # an imported table has no group
         raise ValueError("--subgroup-gens needs --family or --group-file")
     label, T = _get_table(args)
     G = T.group
     rep = Report(input=label)
     for d in ds:
         rep.records.extend(_verify_counts(T, G, d, args.orbit_cap, args.kappa_cap))
-    if args.subgroup_gens:
+    if args.subgroup_gens is not None:  # no generators: the trivial subgroup
         rep.records.extend(_verify_subgroup(T, G, _parse_params(args.subgroup_gens)))
     return rep
 
@@ -187,8 +187,9 @@ def cmd_classify(args) -> Report:
 
 
 def _battery_entries(path: Optional[str]) -> list[tuple[str, FamilySpec]]:
-    """(label, family spec) per line; a malformed line, an unknown family or a
-    wrong parameter count raises ``ValueError`` before any group is built."""
+    """(label, family spec) per line; a malformed line, a repeated label, an
+    unknown family or a wrong parameter count raises ``ValueError`` before
+    any group is built."""
     if path:
         with open(path) as fh:
             text = fh.read()
@@ -196,13 +197,16 @@ def _battery_entries(path: Optional[str]) -> list[tuple[str, FamilySpec]]:
         text = (
             resources.files("kronkit").joinpath("data/battery.txt").read_text()
         )
-    entries = []
+    entries, first_line = [], {}
     for number, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) < 2:
             raise ValueError(f"battery line {number}: need a label and a family")
+        first = first_line.setdefault(parts[0], number)
+        if first != number:
+            raise ValueError(f"battery line {number}: label {parts[0]} repeats line {first}")
         try:
             params = tuple(int(p) for p in parts[2:])
         except ValueError:

@@ -4,7 +4,8 @@ kappa(V_1,...,V_{d+1}) is always computed classwise from exact character
 values, as a class sum modulo primes at one embedding of Z[zeta_e] into
 F_p per prime, recovered exactly (see ``modular``, which also holds the
 Galois certificate that makes one embedding enough).  MFTP and d-reality
-are decided from three such sums, with no tensor.  The d=2 coefficient
+are decided from three moments, with no tensor; psi and r, linear in the
+characters, are int64 sums of the coefficient rows.  The d=2 coefficient
 tensor t3 is one exact float64 (k^2 x k) by (k x k) matrix product per
 prime.  The second derivations of the counting records are read off it
 through the transfer matrices K_V[W, U] = kappa(W, V, U'), U' dual to U:
@@ -35,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from . import modular
-from .chartab import CharacterTable, SubgroupSpec, VerificationError, dim_fixed_space, fs_indicators
+from .chartab import (CharacterTable, SubgroupSpec, VerificationError, dim_fixed_space,
+                      fs_indicators, rational_rows)
 
 # Work bound for the kappa tensors, in multiply-adds (see ``kappa_price``).
 # Under it the d = 2 sums and a d = 2 witness build t3 for k <= 118, the
@@ -320,13 +322,8 @@ def _r_moment(T: CharacterTable, d: int) -> int:
 
 
 def _psi_moment(T: CharacterTable, d: int) -> int:
-    # both table constructors build ``modular.images``, which refuses more
-    # than 2^11 classes, and every coefficient lies below 2^52 in size, so
-    # these int64 sums over the irreps are exact
-    psi = T.coeffs.sum(axis=0)
-    if psi[:, 1:].any():
-        raise VerificationError("sum of the irreducible characters not rational")
-    return _moment(T, psi[:, 0].tolist(), d + 1, "psi moment")
+    psi = rational_rows(T.coeffs.sum(axis=0), "sum of the irreducible characters not rational")
+    return _moment(T, psi, d + 1, "psi moment")
 
 
 def _add_kappa_sum(rec: Record, formula: str, T: CharacterTable, d: int, which: int,

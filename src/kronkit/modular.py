@@ -4,7 +4,7 @@ Every character-side number in kronkit is a class sum
 
     S = sum_c w_c * prod_t x_t(c)
 
-with integer weights w_c (class sizes, subgroup counts, indicators) and
+with integer weights w_c that the class permutations pi_a below keep and
 factors x_t(c) in Z[zeta_e], e the exponent of the table.  This module
 evaluates such sums at one embedding of Z[zeta_e] into F_p per prime and
 recovers them exactly.
@@ -45,24 +45,16 @@ modulo these primes makes it 0: the certificate is exact.  A table that
 fails it gets no images, and ``exact`` returns None.
 
 One embedding per prime.  As s_a s_b = s_ab, the certified pi_a give a
-class permutation for every unit.  So, modulo every prime:
-
-- a sum over all classes, weighted by class sizes, of an integer
-  polynomial in chi(c) and chi(c^2) is fixed by every s_a: reindexing the
-  classes by pi_a gives the same sum.  Its images at every embedding
-  agree.
-- an output indexed by classes obeys s_a(S(c)) = S(pi_a c), so its images
-  at embedding 1 are invariant under every pi_a (``invariant``) exactly
-  when its images at every embedding agree.
-- other weights (``dim_fixed_space``'s subgroup counts) must themselves be
-  invariant under every pi_a; then the sum is of the first kind.
-
-``exact`` therefore evaluates each sum at embedding 1 only and checks the
-outputs indexed by classes, and the recovery above holds as it stands: "is
-S rational, and which integer is it" is answered without error, and every
-bug trap built on it (not rational, not divisible by |G|, negative, out of
-range, orthogonality) keeps its exact meaning.  Complex conjugation is
-s_(-1): an imported table's conj chi(c) is chi(pi_(-1) c) (``conj``).
+class permutation for every unit.  A sum over all classes, with weights
+that every pi_a keeps, of an integer polynomial in chi(c) is fixed by every
+s_a: reindexing the classes by pi_a gives the same sum.  So its images at
+every embedding agree modulo every prime, and ``exact`` evaluates it at
+embedding 1 only: the recovery above holds as it stands, "is S rational,
+and which integer is it" is answered without error, and every bug trap
+built on it (not divisible by |G|, negative, out of range, orthogonality)
+keeps its exact meaning.  Complex conjugation is s_(-1): an imported
+table's conj chi(c) is chi(pi_(-1) c) (``conj``).  Sums linear in the
+values need no primes: ``chartab`` adds the integer rows in int64.
 
 Coefficient bounds.  With L1(y) the sum of the absolute values of the
 coefficients of y, and r the largest row L1 norm of ``power_basis(e)``
@@ -176,8 +168,8 @@ class TableImages:
                              f"for exact class sums (got {k} and {phi})")
         self.e = e
         self.coeffs = T.coeffs
-        # coefficients lie below 2^52 in size (``chartab.load_table`` for
-        # imported tables), so a sum of at most 2^11 of them stays below 2^63
+        # coefficients lie below 2^52 in size (both table constructors in
+        # ``chartab`` check it), so a sum of at most 2^11 stays below 2^63
         self.l1 = abs(T.coeffs).sum(axis=2).tolist()
         self.r = reduced_powers(e)[0]
         self._supply: list[int] = []  # primes = 1 (mod e), descending
@@ -190,11 +182,6 @@ class TableImages:
     def class_l1(self) -> list[int]:
         """Largest L1 norm over the irreps, per class."""
         return [max(col) for col in zip(*self.l1)]
-
-    @property
-    def irrep_l1(self) -> list[int]:
-        """Largest L1 norm over the classes, per irrep."""
-        return [max(row) for row in self.l1]
 
     def _images(self, p: int, units) -> np.ndarray:
         """V[i, c, t]: chi_i(c) at the embedding zeta -> z^units[t], mod p."""
@@ -232,11 +219,6 @@ class TableImages:
             perms.append(pi)
         return perms
 
-    def invariant(self, x) -> bool:
-        """True when ``x``, indexed by classes, is unchanged by every pi_a."""
-        x = np.asarray(x)
-        return self.perms is not None and all(np.array_equal(x[pi], x) for pi in self.perms)
-
     def _count(self, bound: int) -> int:
         """How many primes multiply to more than 2 * bound; finds them, or
         raises ``ValueError`` when too few lie below PRIME_CEILING."""
@@ -266,23 +248,20 @@ class TableImages:
             self.primes.append((p, self._images(p, [1])[:, :, 0]))
         return self.primes[:n]
 
-    def exact(self, bound: int, sums_mod, by_class: bool = False):
+    def exact(self, bound: int, sums_mod):
         """Exact values of class sums that are all rational, else None.
 
         ``sums_mod(p, V)`` gives the residues mod p of the sums at the
-        embedding of ``at``, indexed by classes when ``by_class``.
-        ``bound`` bounds every power-basis coefficient of every sum.  The
-        result is an array of the sums' integer values (int64 for one prime,
-        Python ints for more).  None also when the table failed the Galois
-        certificate.
+        embedding of ``at``.  ``bound`` bounds every power-basis coefficient
+        of every sum.  The result is an array of the sums' integer values
+        (int64 for one prime, Python ints for more).  None also when the
+        table failed the Galois certificate.
         """
         if self.perms is None:
             return None
         value = modulus = None
         for p, V in self.at(bound):
             residue = np.asarray(sums_mod(p, V))
-            if by_class and not self.invariant(residue):
-                return None
             if modulus is None:
                 value, modulus = residue, p
                 continue

@@ -231,6 +231,59 @@ def test_dim_fixed_space():
     assert sum(dim_fixed_space(T, whole)) == 1
 
 
+@pytest.mark.parametrize("planted", [2**63 - 1, 2**63])
+def test_dim_fixed_space_int64_edge(monkeypatch, planted):
+    # the int64 row sums are certified by the L1 bound max_i sum_c counts_c
+    # L1(chi_i(c)); planted on the identity class (count 1), it is the bound
+    G = build("symmetric", 4)
+    K = subgroup_closure(G, [g for g in range(24) if eval(G.labels[g])[3] == 3])
+    want = dim_fixed_space(table("symmetric", 4), K)
+    T = character_table(G)
+    l1 = [[0] * T.num_classes for _ in range(T.num_classes)]
+    l1[0][0] = planted
+    monkeypatch.setattr(modular.images(T), "l1", l1)
+    if planted < 2**63:
+        assert dim_fixed_space(T, K) == want
+    else:
+        with pytest.raises(VerificationError, match="not below 2\\^63"):
+            dim_fixed_space(T, K)
+
+
+def test_an_irrational_square_root_count_is_trapped(monkeypatch):
+    # A5's two 3-dim characters take (1 +- sqrt 5)/2 on the 5-classes; with the
+    # first one's n sigma planted as -n, sigma is still nonzero exactly on the
+    # self-dual irreps, but r = sum sigma chi holds sqrt 5
+    kronecker_matrix = chartab._kronecker_matrix
+
+    def plant(T):
+        S = kronecker_matrix(T)
+        S[T.degrees.index(3), -1] *= -1
+        return S
+
+    monkeypatch.setattr(chartab, "_kronecker_matrix", plant)
+    T = character_table(build("alternating", 5))
+    with pytest.raises(VerificationError, match="square-root count not rational"):
+        fs_indicators(T)
+
+
+@pytest.mark.parametrize("planted", [2**52 - 1, 2**52])
+def test_lifted_coefficients_are_checked_below_2_52(monkeypatch, planted):
+    # the int64 row sums and the L1 norms of ``modular`` need every coefficient
+    # below 2^52 in size; at the bound the lift is refused, and just below it
+    # the planted value passes that check and fails the table check
+    lift = chartab._lift
+
+    def plant(*args):
+        coeffs = lift(*args)
+        coeffs[1, 1, 0] = planted
+        return coeffs
+
+    monkeypatch.setattr(chartab, "_lift", plant)
+    message = "orthogonality" if planted < 2**52 else "not below 2\\^52"
+    with pytest.raises(VerificationError, match=message):
+        character_table(build("symmetric", 3))
+
+
 def test_dump_load_round_trip():
     for fam, params in [("symmetric", (4,)), ("cyclic", (8,)),
                         ("generalized_quaternion", 6)]:

@@ -105,6 +105,16 @@ def test_subgroup_flags(capsys):
     assert "frame" in names and "hecke_dim" in names
 
 
+def test_empty_subgroup_gens_take_the_trivial_subgroup(capsys):
+    # the closure of no generators is the subgroup of the identity alone
+    code, out = run(capsys, "verify", *S3, "--d", "1", "--subgroup-gens")
+    assert code == 0
+    rec = {r["name"]: r["values"] for r in json.loads(out)["records"]}
+    assert rec["frame"] == {"sigma_dim": "4", "self_inverse": "4", "pair_count": "4"}
+    assert rec["hecke_dim"] == {"dim_sq": "6", "double_cosets": "6"}
+    assert run(capsys, "verify", *S3, "--d", "1", "--subgroup-gens", "0") == (code, out)
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["verify", "--params", "3"])
     err = capsys.readouterr()
@@ -244,6 +254,8 @@ S3 = ("--family", "symmetric", "--params", "3")
     (("--d", "-1"), 1, "error: kron tensors take --d 2 or 3"),
     (("--irreps", "2", "2", "9"), 1, "error: irrep indices must lie in 0..2"),
     (("--irreps", "2", "-1"), 1, "error: irrep indices must lie in 0..2"),
+    # an empty --irreps asks for a coefficient, not for the tensors
+    (("--irreps",), 1, "error: need at least two irreps (d >= 1)"),
 ])
 def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
     assert main(["kron", *S3, *args]) == code
@@ -287,6 +299,8 @@ def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
     # an imported table has no group to take a subgroup of
     (("--table-file", "TABLE_FILE", "--subgroup-gens", "1"),
      "--subgroup-gens needs --family or --group-file"),
+    (("--table-file", "TABLE_FILE", "--subgroup-gens"),
+     "--subgroup-gens needs --family or --group-file"),
 ])
 def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
     files = {"GROUP_FILE": tmp_path / "g.grp", "TABLE_FILE": tmp_path / "t.tbl"}
@@ -304,6 +318,8 @@ def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
     # refused before any group is built, not recorded as a per-entry error
     ("X symmetric 3 4\n", "battery line 1: symmetric takes the parameters n"),
     ("S3 symmetric 3\nY nonsense 3\n", "battery line 2: unknown family 'nonsense'"),
+    # one label, two groups: the records and the timings would collide
+    ("X cyclic 2\n# C3\nX cyclic 3\n", "battery line 3: label X repeats line 1"),
 ])
 def test_scan_bad_battery_exit_codes(capsys, tmp_path, battery, error):
     path = tmp_path / "battery.txt"
