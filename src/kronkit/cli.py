@@ -136,8 +136,8 @@ def cmd_chartab(args) -> None:
 
 
 def cmd_kron(args) -> Report:
-    ds = args.d or [2]
-    if any(d not in (2, 3) for d in ds):
+    ds = [2] if args.d is None else args.d
+    if not ds or any(d not in (2, 3) for d in ds):
         raise ValueError("kron tensors take --d 2 or 3")
     label, T = _get_table(args)
     rep = Report(input=label)
@@ -148,9 +148,8 @@ def cmd_kron(args) -> Report:
             Record(name="kappa" + str(res.irreps), values={"kappa": res.value})
         )
         return rep
-    # the maximum sweeps every slab: at d = 3 that is k of them, at d = 2 t3 itself
-    if any(kron.over_kappa_cap(T, d, args.kappa_cap, slabs=T.num_classes if d == 3 else 0)
-           for d in ds):
+    # the maxima cost k^3 on top of t3: the price is that of the sums
+    if any(kron.over_kappa_cap(T, d, args.kappa_cap) for d in ds):
         raise ValueError(f"kappa tensors exceed --kappa-cap {args.kappa_cap}")
     for d in ds:
         # sum of squares = |conj_d(G)|, which Burnside's lemma also counts
@@ -159,14 +158,14 @@ def cmd_kron(args) -> Report:
             raise kron.InexactError
         rep.records.append(Record(name=f"kappa_tensor_{d}", values={
             "sum_sq": cr.values["kappa_sq"], "burnside": cr.values["burnside"]}))
-        top = max(int(slab.max()) for slab in kron.kappa_slabs(T, d))
-        rep.records.append(Record(name=f"kappa_tensor_{d}_max", values={"max": top}))
+        rep.records.append(Record(name=f"kappa_tensor_{d}_max",
+                                  values={"max": kron.kappa_max(T, d)}))
     return rep
 
 
 def cmd_verify(args) -> Report:
-    ds = args.d or [1, 2]
-    if any(d < 1 for d in ds):
+    ds = [1, 2] if args.d is None else args.d
+    if not ds or any(d < 1 for d in ds):
         raise ValueError("verify takes --d 1 or more")
     if args.subgroup_gens is not None and args.table_file:  # an imported table has no group
         raise ValueError("--subgroup-gens needs --family or --group-file")

@@ -11,8 +11,9 @@ prime.  The second derivations of the counting records are read off it
 through the transfer matrices K_V[W, U] = kappa(W, V, U'), U' dual to U:
 kappa(V_1, ..., V_{d+1}) is entry [V_1, V_{d+1}'] of K_{V_2} ... K_{V_d}.
 Their sums over all tuples are short matrix chains (``_kappa_sums``); no
-k^4 tensor is held, and witnesses and maxima come from ``kappa_slabs``, a
-slab at a time.
+k^4 tensor is held.  A d = 2 witness and maximum are read off t3, a d = 3
+witness off one slab known in advance (``kappa_slab``), and the d = 3
+maximum off the row norms of t3 (``kappa_max``).
 
 Every checked number is reported as a ``Record``: the values of its
 independent derivations, which must agree, and a note for each derivation
@@ -20,15 +21,14 @@ that was left out.  This module builds the character-side records
 (``conj_count``, ``rconj_count``, ``frame_verify``, ``hecke_dimension``,
 ``gelfand_symmetric`` and ``classify``), each value computed once; the
 command line adds the group-side oracle values.  The kappa cap prices the
-work that runs (``kappa_price``), before t3, a chain or a slab is built; it
-never stops a decision.
+work that runs (``kappa_price``), before t3, a chain step or the slab is
+built; it never stops a decision.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
 from math import prod
 from operator import mul
 from typing import Optional
@@ -40,12 +40,12 @@ from .chartab import (CharacterTable, SubgroupSpec, VerificationError, dim_fixed
                       fs_indicators, rational_rows)
 
 # Work bound for the kappa tensors, in multiply-adds (see ``kappa_price``).
-# Under it the d = 2 sums and a d = 2 witness build t3 for k <= 118, the
-# d = 3 sums and slab 0 of a d = 3 witness search run for k <= 90, and the
-# d = 4 and d = 5 sums for k <= 79.  Only t3 and a few arrays of its size
-# are held: ``verify --d 2 3`` and ``classify`` (a d = 2 witness) each
-# peaked 13 MiB above the interpreter's ru_maxrss on an imported C3^4 table
-# (k = 81, 531K d=2 entries).
+# Under it the d = 2 sums, a d = 2 witness and ``kron --d 2`` build t3 for
+# k <= 118, the d = 3 sums, a d = 3 witness (one slab) and ``kron --d 3``
+# run for k <= 90, and the d = 4 and d = 5 sums for k <= 79.  Only t3 and a
+# few arrays of its size are held: ``verify --d 2 3`` and ``classify`` (a
+# d = 2 witness) each peaked 13 MiB above the interpreter's ru_maxrss on an
+# imported C3^4 table (k = 81, 531K d=2 entries).
 DEFAULT_KAPPA_CAP = 10**8
 SKIPPED = "skipped: cap"
 PAST_2_53 = "skipped: 2^53"  # a kappa sum past the exact float64 products
@@ -234,48 +234,52 @@ def _kappa_sums(T: CharacterTable, d: int) -> tuple[int, int]:
     return sums
 
 
-def kappa_slabs(T: CharacterTable, d: int):
-    """kappa over all (d+1)-tuples of irreps, one first irrep a at a time,
-    for d = 2 or 3: t3[a] at d = 2, and at d = 3 the slab kappa(a, b, c, d')
-    = sum_w t3[a, b, w] t3[w', c, d']."""
-    if d == 2:
-        return iter(kappa_tensor3(T))
-    if d != 3:
-        raise ValueError("kappa slabs are built for d = 2 and 3")
+def kappa_slab(T: CharacterTable, a: int) -> np.ndarray:
+    """The d = 3 slab of first irrep ``a``: kappa(a, b, c, d) at [b, c, d],
+    which is sum_w t3[a, b, w] t3[w', c, d]."""
     k, perm = T.num_classes, _conjugation(T)
+    kappa_max(T, 3)  # bounds every entry and partial sum below, so they are exact
     t3 = kappa_tensor3(T).astype(np.float64)
-    # By Cauchy-Schwarz a slab entry is at most the largest sum of squares of
-    # a t3 slab t3[x] (the largest diagonal entry of Phi(I)); its terms are
-    # non-negative, so once that is below 2^53 the products are exact
-    _certified(np.einsum("abw,abw->a", t3, t3))
-
-    def slab(a):
-        # t3 is symmetric in its slots, so t3[w', c, d'] = t3[c, d', w']:
-        # permuting the columns of t3[a] pairs w with w'.  One c at a time
-        # keeps the float64 temporaries at k^2 entries
-        left = t3[a][:, perm]
-        out = np.empty((k, k, k), dtype=np.int64)
-        for c in range(k):
-            out[:, c] = left @ t3[c].T
-        return out
-
-    return map(slab, range(k))
+    # t3 is symmetric in its slots, so t3[w', c, d] = t3[c, d, w']: permuting
+    # the columns of t3[a] pairs w with w'.  One c at a time keeps the
+    # float64 temporaries at k^2 entries
+    left = t3[a][:, perm]
+    out = np.empty((k, k, k), dtype=np.int64)
+    for c in range(k):
+        out[:, c] = left @ t3[c].T
+    return out
 
 
-def kappa_price(T: CharacterTable, steps: int = 0, slabs: int = 0) -> int:
+# The d = 3 maximum.  With u_ab = t3[a, b, :], kappa(a, b, c, d) = <u_ab,
+# u_(c'd')>, as t3[w', c, d] = t3[w, c', d'] (a real kappa is fixed by
+# dualizing every slot).  By Cauchy-Schwarz every entry, and every partial sum
+# of one, is at most max |u_ab|^2, and (c, d) = (a', b') attains it.
+def kappa_max(T: CharacterTable, d: int) -> int:
+    """The largest kappa over all (d+1)-tuples of irreps, for d = 2 or 3,
+    with no d = 3 slab (``InexactError`` when it reaches 2^53)."""
+    if d not in (2, 3):
+        raise ValueError("kappa maxima are read for d = 2 and 3")
+    t3 = kappa_tensor3(T)
+    if d == 2:
+        return int(t3.max())
+    t3 = t3.astype(np.float64)
+    return int(_certified(np.einsum("abw,abw->ab", t3, t3)).max())
+
+
+def kappa_price(T: CharacterTable, steps: int = 0) -> int:
     """The multiply-adds, per prime, of t3, about k^4/2 (a (k^2/2 x k) by
-    (k x k) product), then of ``steps`` transfer-chain steps and ``slabs``
-    d=3 slabs, about k^4 each (a (k x k^2) by (k^2 x k) product, and k
-    products of two k x k matrices)."""
+    (k x k) product), then of ``steps`` steps of about k^4 each: a
+    transfer-chain step (a (k x k^2) by (k^2 x k) product) or the d = 3
+    witness slab (k products of two k x k matrices)."""
     k = T.num_classes
-    return k**4 // 2 + (steps + slabs) * k**4
+    return k**4 // 2 + steps * k**4
 
 
-def over_kappa_cap(T: CharacterTable, d: int, cap: int, slabs: int = 0) -> bool:
+def over_kappa_cap(T: CharacterTable, d: int, cap: int) -> bool:
     """True when the d-tuple sums, t3 and the chain steps they run (none at
-    d = 2, floor(d/2) from d = 3), and then ``slabs`` d=3 slabs would price
-    above ``cap``.  d = 1 builds no tensor."""
-    return d > 1 and kappa_price(T, d // 2 if d > 2 else 0, slabs) > cap
+    d = 2, floor(d/2) from d = 3), would price above ``cap``.  d = 1 builds
+    no tensor."""
+    return d > 1 and kappa_price(T, d // 2 if d > 2 else 0) > cap
 
 
 # -- counting records ----------------------------------------------------------
@@ -303,7 +307,7 @@ def over_kappa_cap(T: CharacterTable, d: int, cap: int, slabs: int = 0) -> bool:
 # so term by term kappa^2 >= kappa >= (prod sigma) kappa, prod sigma being
 # -1, 0 or 1.  The first is an equality exactly when kappa is 0 or 1, the
 # second when moreover prod sigma = 1 wherever kappa = 1.  So each decision
-# compares two sums, and searches slabs only for the witness.
+# compares two sums, and reads t3 or one slab only for the witness.
 
 def _moment(T: CharacterTable, values, power: int, what: str) -> int:
     """(1/|G|) sum_c |C_c| values[c]^power, exactly."""
@@ -354,47 +358,63 @@ def rconj_count(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP) -
                           "sigma_weighted", T, d, 1, kappa_cap)
 
 
+# Where the least d = 3 witness lies.  MFTP_3 fails exactly when some degree
+# is above 1: every kappa of an abelian group is 0 or 1, and an irrep V of
+# degree >= 2 gives kappa(V, V', V, V') = sum_W kappa(V, V', W)^2 >= 2, as
+# V (x) V' holds the trivial irrep once and has dimension above 1.  For a
+# linear lambda, kappa(lambda, b, c, d) = kappa(b, c, lambda d): slab lambda is
+# a permuted copy of t3.  So slab 0 holds a witness when irrep 0 is not
+# linear, or is linear and mftp_2 fails.  When irrep 0 is linear and mftp_2
+# holds, every linear slab holds only 0s and 1s, and the first non-linear
+# irrep a is the first slab with a witness, kappa(a, a', a, a').  With every
+# degree 1, slab 0 shows no witness: a bug trap.
+def _witness_slab(T: CharacterTable) -> int:
+    if T.degrees[0] > 1 or _psi_moment(T, 2) != _burnside(T, 2):
+        return 0
+    return next((a for a, degree in enumerate(T.degrees) if degree > 1), 0)
+
+
 def _least_witness(T: CharacterTable, d: int, bad, cap: int) -> Optional[KroneckerResult]:
-    """The lexicographically least (d+1)-tuple of irreps where
-    ``bad(a, slab)`` holds, with its kappa, once a sum has shown one exists;
-    None when the cap stops the search first.  d = 2 pays for t3, and d = 3
-    also for each slab it visits."""
-    # irrep 0 of a group's table is linear (``character_table`` sorts by
-    # degree), and kappa(lambda, b, c, d) = kappa(b, c, lambda d) for a linear
-    # lambda, so d=3 slab 0 holds a copy of t3: where MFTP fails at d = 2, the
-    # least d = 3 witness lies in slab 0
-    k, spare = T.num_classes, cap - kappa_price(T)
-    budget = 0 if spare < 0 else k if d == 2 else min(k, spare // k**4)
-    for a, slab in zip(range(budget), kappa_slabs(T, d) if budget else ()):
-        mask = bad(a, slab)
-        first = int(mask.argmax())  # the first True in C (lexicographic) order
-        if mask.flat[first]:
-            index = np.unravel_index(first, mask.shape)
-            return KroneckerResult(irreps=(a, *map(int, index)), value=int(slab[index]))
-    if budget < k:
+    """The lexicographically least (d+1)-tuple of irreps where ``bad`` holds
+    on its kappa, with that kappa, once a sum has shown one exists; None
+    when the cap stops the search first.  d = 2 reads t3; d = 3, for
+    ``is_mftp`` only, reads the one slab that holds the least witness and
+    also pays for it."""
+    if kappa_price(T, d - 2) > cap:
         return None
-    raise VerificationError("a kappa sum fails but no kappa slab shows where")
+    prefix = () if d == 2 else (_witness_slab(T),)
+    values = kappa_tensor3(T) if d == 2 else kappa_slab(T, *prefix)
+    mask = bad(values)
+    first = int(mask.argmax())  # the first True in C (lexicographic) order
+    if not mask.flat[first]:
+        raise VerificationError("a kappa sum fails but no kappa slab shows where")
+    index = np.unravel_index(first, mask.shape)
+    return KroneckerResult(irreps=(*prefix, *map(int, index)), value=int(values[index]))
 
 
 def is_mftp(T: CharacterTable, d: int = 2, kappa_cap: int = DEFAULT_KAPPA_CAP):
     """(all kappa <= 1, least witness tuple with kappa >= 2 otherwise, or
-    None when the witness is over ``kappa_cap``)."""
+    None when the witness is over ``kappa_cap``), the witness for d = 2 or 3."""
     if _psi_moment(T, d) == _burnside(T, d):
         return True, None
-    return False, _least_witness(T, d, lambda a, slab: slab >= 2, kappa_cap)
+    if d not in (2, 3):
+        raise ValueError("MFTP witnesses are searched for d = 2 and 3")
+    return False, _least_witness(T, d, lambda kappa: kappa >= 2, kappa_cap)
 
 
 def is_d_real_char(T: CharacterTable, d: int, kappa_cap: int = DEFAULT_KAPPA_CAP):
-    """Character-side d-reality test: kappa <= 1 everywhere and the sigma
-    product is 1 on every kappa = 1 tuple; the witness as for ``is_mftp``
-    from d = 2 (at d = 1, reality, there is none)."""
+    """Character-side d-reality test, for d = 1 or 2: kappa <= 1 everywhere
+    and the sigma product is 1 on every kappa = 1 tuple; the witness at
+    d = 2 as for ``is_mftp`` (at d = 1, reality, there is none)."""
+    if d > 2:
+        raise ValueError("d-reality is decided for d = 1 and 2")
     real = _r_moment(T, d) == _burnside(T, d)
     if real or d == 1:
         return real, None
     s = _sigma_vector(T)
-    rest = reduce(np.multiply.outer, [s] * d)  # the sigma product of the last d irreps
+    unreal = s[:, None, None] * s[:, None] * s != 1  # the sigma product of each triple
     return False, _least_witness(
-        T, d, lambda a, slab: (slab >= 2) | ((slab == 1) & (s[a] * rest != 1)), kappa_cap)
+        T, 2, lambda kappa: (kappa >= 2) | ((kappa == 1) & unreal), kappa_cap)
 
 
 def frame_verify(T: CharacterTable, K: SubgroupSpec) -> Record:
@@ -457,7 +477,8 @@ def _witness(wit: Optional[KroneckerResult]) -> Optional[str]:
 def classify(T: CharacterTable, kappa_cap: int = DEFAULT_KAPPA_CAP) -> list[Record]:
     """The real, mftp_2, mftp_3 and doubly_real records from the character
     table alone, and the combinatorial profile when the group is known and
-    matches it.  Traps a violation of doubly real <=> real and MFTP."""
+    matches it.  Traps a violation of doubly real <=> real and MFTP, and of
+    MFTP_3 <=> abelian (every degree 1, see ``_witness_slab``)."""
     real_char = _r_moment(T, 1) == _burnside(T, 1)
     real = Record("real", {"char": int(real_char)})
     if T.classes is not None:
@@ -473,9 +494,11 @@ def classify(T: CharacterTable, kappa_cap: int = DEFAULT_KAPPA_CAP) -> list[Reco
         if not ok and wit is None:
             rec.notes["witness"] = SKIPPED
         records.append(rec)
-    mftp_2, doubly = records[1].values["char"], records[3].values["char"]
+    mftp_2, mftp_3, doubly = (records[i].values["char"] for i in (1, 2, 3))
     if doubly != (real_char and mftp_2 == 1):
         raise VerificationError("doubly real <=> real and MFTP fails")
+    if mftp_3 != all(degree == 1 for degree in T.degrees):
+        raise VerificationError("MFTP_3 <=> abelian fails")
     if T.group is not None:
         prof = combinatorial_profile(T)
         if prof.matched:

@@ -99,7 +99,7 @@ def test_identities_at_d3_past_the_battery(fam, q, count, real):
 @pytest.mark.parametrize("fam,q", [("gl2", 7), ("psl2", 17)])
 def test_not_mftp_past_gl2_5(fam, q):
     # the paper's claim past the battery, under the default caps: each
-    # decision from class sums, each witness from t3 or from d=3 slab 0,
+    # decision from class sums, each witness from t3 or from one d=3 slab,
     # and the witness's kappa again as one classwise sum
     T = table(fam, q)
     cls = classified(T)

@@ -15,7 +15,7 @@ from kronkit.chartab import (IndicatorData, VerificationError, character_table, 
                               load_table)
 from kronkit.cli import build_parser, cmd_scan, main, render_report
 from kronkit.cyclo import Cyclotomic
-from kronkit.groupcore import load_group
+from kronkit.groupcore import direct_product, load_group
 
 from conftest import build, c2_power_table, non_dual_tables
 
@@ -165,6 +165,39 @@ def test_kron_refuses_kappa_sums_past_2_53(capsys, monkeypatch):
         "error: kappa sums too large for exact float64 products (an entry >= 2^53)\n")
 
 
+def test_kron_d3_reads_its_maximum_off_t3(capsys, tmp_path, monkeypatch):
+    # S3 x S3 x S4 (k = 45): the d = 3 sums price 1.5 k^4 < 10^8, and the
+    # maximum builds no slab.  kappa multiplies over the factors, so the
+    # maximum is 3 * 3 * 4 and the sum of squares 49 * 49 * 681
+    P = direct_product(direct_product(build("symmetric", 3), build("symmetric", 3)),
+                       build("symmetric", 4))
+    path = tmp_path / "p.tbl"
+    path.write_text(dump_table(character_table(P)))
+    monkeypatch.setattr(kron, "kappa_slab", None)
+    code, out = run(capsys, "kron", "--table-file", str(path), "--d", "3")
+    assert code == 0
+    assert {r["name"]: r["values"] for r in json.loads(out)["records"]} == {
+        "kappa_tensor_3": {"sum_sq": str(49 * 49 * 681), "burnside": str(49 * 49 * 681)},
+        "kappa_tensor_3_max": {"max": "36"}}
+
+
+@pytest.mark.parametrize("family,params,planted,error", [
+    # S3 has an irrep of degree 2; a psi moment planted equal to Burnside's
+    # count at d = 3 makes MFTP_3 hold
+    ("symmetric", "3", lambda T: kron._burnside(T, 3), "MFTP_3 <=> abelian fails"),
+    # C4 is abelian; a psi moment planted below it makes MFTP_3 fail, and
+    # slab 0 shows no witness
+    ("cyclic", "4", lambda T: 0, "a kappa sum fails but no kappa slab shows where"),
+])
+def test_classify_traps_mftp_3_against_the_degrees(capsys, monkeypatch, family, params,
+                                                   planted, error):
+    psi = kron._psi_moment
+    monkeypatch.setattr(kron, "_psi_moment", lambda T, d: planted(T) if d == 3 else psi(T, d))
+    assert main(["classify", "--family", family, "--params", params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bug trap: {error}\n"
+
+
 def test_scan_small_manifest(capsys, tmp_path):
     mf = tmp_path / "battery.txt"
     mf.write_text("S3 symmetric 3\nC4 cyclic 4\n")
@@ -256,6 +289,8 @@ S3 = ("--family", "symmetric", "--params", "3")
     (("--irreps", "2", "-1"), 1, "error: irrep indices must lie in 0..2"),
     # an empty --irreps asks for a coefficient, not for the tensors
     (("--irreps",), 1, "error: need at least two irreps (d >= 1)"),
+    # an empty --d asks for no tensor, not for the default
+    (("--d",), 1, "error: kron tensors take --d 2 or 3"),
 ])
 def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
     assert main(["kron", *S3, *args]) == code
@@ -301,6 +336,8 @@ def test_kron_tensor_mode_exit_codes(capsys, args, code, output):
      "--subgroup-gens needs --family or --group-file"),
     (("--table-file", "TABLE_FILE", "--subgroup-gens"),
      "--subgroup-gens needs --family or --group-file"),
+    # an empty --d asks for no record, not for the default
+    (("--family", "cyclic", "--params", "2", "--d"), "verify takes --d 1 or more"),
 ])
 def test_verify_bad_input_exit_codes(capsys, tmp_path, args, error):
     files = {"GROUP_FILE": tmp_path / "g.grp", "TABLE_FILE": tmp_path / "t.tbl"}
@@ -637,9 +674,9 @@ def test_kappa_cap(capsys, tmp_path, argv, code, expected):
 
 
 # A4 (k = 4) fails MFTP and reality.  t3 prices k^4 / 2 = 128, and a chain
-# step or a d=3 slab k^4 = 256: the d = 2 sums, the d = 2 witnesses and
-# kron --d 2 each price 128 (t3 alone), and the d = 3 sums and the d = 3
-# witness in slab 0 each price 384
+# step or the d=3 witness slab k^4 = 256: the d = 2 sums, the d = 2 witnesses
+# and kron --d 2 each price 128 (t3 alone), and the d = 3 sums, the d = 3
+# witness in slab 0 and kron --d 3 each price 384
 A4 = ("--family", "alternating", "--params", "4")
 _D2 = {"conj_2": {"kappa_sq": SKIP}, "rconj_2": {"sigma_weighted": SKIP},
        "mftp_2": {"witness": SKIP}, "doubly_real": {"witness": SKIP}}
@@ -665,14 +702,15 @@ def test_kappa_cap_edge(capsys, monkeypatch, cap):
     assert notes == skipped
     for name in ("mftp_2", "doubly_real", "mftp_3"):
         assert bool(witnesses[name]) == (name not in skipped)
-    built.clear()
-    code = main(["kron", *A4, "--kappa-cap", str(cap)])
-    out, err = capsys.readouterr()
-    if cap >= 128:
-        assert code == 0 and built
-    else:  # refused before t3
-        assert (code, out, built) == (1, "", [])
-        assert err == "error: kappa tensors exceed --kappa-cap 127\n"
+    for d, price in ((2, 128), (3, 384)):
+        built.clear()
+        code = main(["kron", *A4, "--d", str(d), "--kappa-cap", str(cap)])
+        out, err = capsys.readouterr()
+        if cap >= price:
+            assert code == 0 and built
+        else:  # refused before t3
+            assert (code, out, built) == (1, "", [])
+            assert err == f"error: kappa tensors exceed --kappa-cap {cap}\n"
 
 
 def test_kappa_cap_keeps_the_d1_sums(capsys):

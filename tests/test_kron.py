@@ -1,4 +1,5 @@
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -50,9 +51,10 @@ def test_kappa4_consistency_with_direct_sum():
     # C4 has two complex irreps, so the conjugation permutation is not trivial
     for fam, params in [("symmetric", (3,)), ("cyclic", (4,))]:
         T = table(fam, *params)
-        t4 = np.stack(list(kron.kappa_slabs(T, 3)))
+        t4 = np.stack([kron.kappa_slab(T, a) for a in range(T.num_classes)])
         for irreps in np.ndindex(t4.shape):
             assert t4[irreps] == kron.kronecker(T, irreps).value, (fam, irreps)
+        assert kron.kappa_max(T, 3) == t4.max()
 
 
 def _fresh_table(fam, *params):
@@ -75,6 +77,13 @@ def _kappa4(T, t):
             for a, b, c, d in np.ndindex(k, k, k, k)}
 
 
+def _t4(T):
+    """The d=3 tensor from the d=2 tensor by einsum, the oracle of
+    ``kron.kappa_slab``: kappa(a, b, c, d) = sum_w kappa(a, b, w) kappa(w', c, d)."""
+    t3 = kron.kappa_tensor3(T)
+    return np.einsum("abw,wcd->abcd", t3, t3[[T.conjugate_irrep(w) for w in range(T.num_classes)]])
+
+
 def _four_square_tensor(x, y, z, w):
     """A C4 table whose planted t3 is symmetric in its three slots, with
     x at (0, 0, 0) and y, z, w at the permutations of (1, 1, 0), (2, 2, 0)
@@ -90,8 +99,8 @@ def _four_square_tensor(x, y, z, w):
 
 @pytest.mark.parametrize("above", [False, True])
 def test_kappa4_exact_at_float_bound(above):
-    # the float64 certificate's edge: Phi(I) (the d = 2 and d = 3 chains, and
-    # the d=3 slabs) holds an entry of 2^53 - 1, or of exactly 2^53
+    # the float64 certificate's edge: Phi(I) (the d = 2 and d = 3 chains)
+    # holds an entry of 2^53 - 1, or of exactly 2^53
     squares = (2**26, 2**26, 0, 0) if above else (94906265, 10885, 71, 50)
     assert sum(v * v for v in squares) == 2**53 - (not above)
     T, t3 = _four_square_tensor(*squares)
@@ -104,10 +113,14 @@ def test_kappa4_exact_at_float_bound(above):
         for d in (2, 3):
             assert kron.conj_count(T, d).notes == {"kappa_sq": kron.PAST_2_53}
             assert kron.rconj_count(T, d).notes == {"sigma_weighted": kron.PAST_2_53}
-        with pytest.raises(kron.InexactError, match="too large"):
-            kron.kappa_slabs(T, 3)
         # the decisions come from class sums of the table, with no tensor
         assert kron.is_mftp(T, 2) == kron.is_mftp(T, 3) == (True, None)
+        # the slabs and the d = 3 maximum need only the row norms |u_ab|^2,
+        # here at most 2^52, so they stay exact
+        t4 = _kappa4(T, t)
+        slabs = np.stack([kron.kappa_slab(T, a) for a in range(k)])
+        assert all(slabs[irreps] == v for irreps, v in t4.items())
+        assert kron.kappa_max(T, 3) == max(t4.values()) == 2**52
         return
     t4 = _kappa4(T, t)
     s = fs_indicators(T).sigma
@@ -119,10 +132,32 @@ def test_kappa4_exact_at_float_bound(above):
         s[a] * s[b] * s[c] * t[a][b][c] for a, b, c in np.ndindex(k, k, k))
     assert kron.rconj_count(T, 3).values["sigma_weighted"] == sum(
         s[a] * s[b] * s[c] * s[d] * v for (a, b, c, d), v in t4.items())
-    slabs = np.stack(list(kron.kappa_slabs(T, 3)))
+    slabs = np.stack([kron.kappa_slab(T, a) for a in range(k)])
     assert all(slabs[irreps] == v for irreps, v in t4.items())
+    assert kron.kappa_max(T, 3) == max(t4.values())
     # Phi^2(I) is far past 2^53
     assert kron.conj_count(T, 4).notes == {"kappa_sq": kron.PAST_2_53}
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_kappa_max_exact_at_float_bound(above):
+    # the row-norm certificate's edge: |u_00|^2 = sum_w t3[0, 0, w]^2 is
+    # 2^53 - 1, or exactly 2^53.  C2^2 has four self-dual irreps, and the
+    # planted t3 is symmetric in its slots, so kappa(0, 0, 0, 0) = |u_00|^2
+    T = _fresh_table("abelian", 2, 2)
+    squares = (2**26, 2**26, 0, 0) if above else (94906265, 10885, 71, 50)
+    assert sum(v * v for v in squares) == 2**53 - (not above)
+    t3 = np.zeros((4, 4, 4), dtype=np.int64)
+    for w, v in enumerate(squares):
+        t3[0, 0, w] = t3[0, w, 0] = t3[w, 0, 0] = v
+    t4 = _kappa4(T, _plant(T, t3))
+    if above:
+        for read in (lambda: kron.kappa_max(T, 3), lambda: kron.kappa_slab(T, 0)):
+            with pytest.raises(kron.InexactError, match="too large"):
+                read()
+        return
+    assert kron.kappa_max(T, 3) == max(t4.values()) == t4[0, 0, 0, 0] == 2**53 - 1
+    assert kron.kappa_slab(T, 0)[0, 0, 0] == 2**53 - 1
 
 
 def test_conj_count_kappa_sq_exact_beyond_int64():
@@ -190,6 +225,9 @@ def test_d_real():
     assert not ok  # Q(C6) is not even real
     ok, _ = kron.is_d_real_char(table("generalized_quaternion", 4), 2)
     assert ok
+    # no command asks for d-reality past d = 2
+    with pytest.raises(ValueError, match="d = 1 and 2"):
+        kron.is_d_real_char(table("symmetric", 3), 3)
 
 
 def test_frame_verify_and_hecke():
@@ -272,21 +310,21 @@ def test_conj_count_copies_no_tensor():
     try:
         conj, rconj = kron.conj_count(T, 3), kron.rconj_count(T, 3)
         mftp, _ = kron.is_mftp(T, 3)
-        top = max(int(slab.max()) for slab in kron.kappa_slabs(T, 3))
+        top, slab = kron.kappa_max(T, 3), kron.kappa_slab(T, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert conj.values == {"burnside": k**3, "kappa_sq": k**3}
     assert rconj.values == {"r_moment": k**3, "sigma_weighted": k**3}
-    assert mftp and top == 1
+    assert mftp and top == slab.max() == 1
     assert peak < k**4 * 8 // 8  # an eighth of the d=3 tensor
 
 
 def _slabs(T, d):
     """kappa over all (d+1)-tuples, one first irrep a at a time: at d = 1
-    kappa(a, b) = [b = a'], from d = 2 ``kron.kappa_slabs``."""
+    kappa(a, b) = [b = a'], at d = 2 t3 and at d = 3 ``_t4``."""
     if d > 1:
-        return kron.kappa_slabs(T, d)
+        return kron.kappa_tensor3(T) if d == 2 else _t4(T)
     return np.eye(T.num_classes, dtype=np.int64)[[T.conjugate_irrep(a)
                                                   for a in range(T.num_classes)]]
 
@@ -336,8 +374,9 @@ def test_kappa_sums_equal_the_slab_sums():
             assert kron._psi_moment(T, d) == total
             assert kron.conj_count(T, d).values["kappa_sq"] == kappa_sq
             assert kron.rconj_count(T, d).values["sigma_weighted"] == sigma_weighted
-            if d > 1:
+            if d == 2:
                 assert _as_pair(kron.is_d_real_char(T, d)) == first_unreal
+            if d > 1:
                 assert _as_pair(kron.is_mftp(T, d)) == first_big
             else:  # reality: decided with no witness
                 assert kron.is_d_real_char(T, 1) == (first_unreal is None, None)
@@ -366,6 +405,7 @@ def test_failing_sum_without_witness_is_a_bug_trap(monkeypatch):
         kron.is_d_real_char(T, 2)
     # a witness search cut by the cap is a skipped witness, not a trap
     assert kron.is_mftp(T, 2, kappa_cap=0) == (False, None)
+    assert kron.is_mftp(T, 3, kappa_cap=kron.kappa_price(T, 1) - 1) == (False, None)
     monkeypatch.undo()
     T.coeffs[1, 1, 1] += 1  # psi, the sum of the irreducible characters, is now irrational
     with pytest.raises(VerificationError, match="not rational"):
@@ -396,13 +436,67 @@ def test_psl2_8_is_not_mftp():
 
 
 def test_reality_is_decided_without_a_slab(monkeypatch):
-    asked, slabs = [], kron.kappa_slabs
-    monkeypatch.setattr(kron, "kappa_slabs", lambda T, d: asked.append(d) or slabs(T, d))
+    built = []
+    tensor = kron.kappa_tensor3
+    monkeypatch.setattr(kron, "kappa_tensor3", lambda T: built.append(T) or tensor(T))
     for fam, params, real in [("cyclic", (3,), 0), ("frobenius", (7, 1, 3), 0),
                               ("symmetric", (4,), 1)]:
         T = _fresh_table(fam, *params)
         assert kron.is_d_real_char(T, 1) == (bool(real), None)
+        assert built == []
         assert classified(T)["real"].values == {"char": real}
-    assert 1 not in asked
+        built.clear()
     with pytest.raises(ValueError, match="d = 2 and 3"):
-        slabs(T, 1)
+        kron.kappa_max(T, 1)
+
+
+@pytest.mark.parametrize("fam,params,slab", [("alternating", (4,), 0),
+                                              ("generalized_quaternion", (4,), 4)])
+def test_d3_slab_without_a_witness_is_a_bug_trap(fam, params, slab):
+    # A4 fails MFTP_2, so its least d = 3 witness lies in slab 0; Q8 is MFTP
+    # with four linear irreps first, so it lies in slab 4, the first of
+    # degree 2.  A t3 planted with no kappa >= 2 gives a slab with no witness
+    T = _fresh_table(fam, *params)
+    assert kron.is_mftp(T, 3)[1].irreps[0] == kron._witness_slab(T) == slab
+    T = _fresh_table(fam, *params)
+    k = T.num_classes
+    _plant(T, np.eye(k, dtype=np.int64)[:, :, None] * np.eye(k, dtype=np.int64))
+    assert kron.kappa_slab(T, slab).max() == 1
+    with pytest.raises(VerificationError, match="no kappa slab shows where"):
+        kron.is_mftp(T, 3)
+
+
+def _reversed_rows(text):
+    """An exchange-format table with its irreps in reverse order."""
+    lines = text.splitlines()
+    rows = [line for line in lines if line.startswith("chi")]
+    return "\n".join([line for line in lines if not line.startswith("chi")] + rows[::-1]) + "\n"
+
+
+def test_d3_witness_and_maximum_against_the_full_tensor():
+    # MFTP_3 holds exactly when every degree is 1 (an irrep V of degree >= 2
+    # has kappa(V, V', V, V') >= 2); the witness read off one slab is the
+    # least of the whole d = 3 tensor, and the maximum from the row norms of
+    # t3 is its largest entry
+    golden = resources.files("kronkit").joinpath("data/golden")
+    flipped = [load_table(_reversed_rows(golden.joinpath(f"{name}.tbl").read_text()))
+               for name in ("S4", "A5")]
+    P = direct_product(direct_product(build("symmetric", 3), build("symmetric", 3)),
+                       build("symmetric", 4))
+    tables = [table(fam, *params) for _, fam, params in BATTERY]
+    tables += [table("gl2", 4), table("gl2", 5), table("psl2", 11), *flipped,
+               load_table(c2_power_table(5)), load_table(dump_table(character_table(P)))]
+    witness_slabs = []
+    for T in tables:
+        t4 = _t4(T)
+        assert kron.kappa_max(T, 3) == t4.max()
+        assert kron.kappa_max(T, 2) == kron.kappa_tensor3(T).max()
+        ok, wit = kron.is_mftp(T, 3)
+        assert ok == all(degree == 1 for degree in T.degrees) == (t4.max() <= 1)
+        if not ok:
+            index = np.unravel_index(int((t4 >= 2).argmax()), t4.shape)
+            assert (wit.irreps, wit.value) == (tuple(map(int, index)), int(t4[index]))
+            witness_slabs.append(wit.irreps[0])
+    assert len(witness_slabs) == 41 and max(witness_slabs) > 0
+    for T in flipped:  # irrep 0 is not linear: kappa(0, 0', 0, 0') >= 2
+        assert T.degrees[0] > 1 and kron.is_mftp(T, 3)[1].irreps == (0, 0, 0, 0)
